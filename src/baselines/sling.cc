@@ -1,8 +1,8 @@
 #include "baselines/sling.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <mutex>
 
 #include "core/artifact.h"
 #include "ppr/backward_search.h"
@@ -68,43 +68,50 @@ Status Sling::Preprocess() {
   search.keep_threshold = term * options_.eps / 4.0;
 
   index.source_index.assign(n, {});
-  // Per-target results are collected serially per chunk under a mutex to
-  // keep memory accounting exact; backward searches dominate the cost.
-  std::mutex mu;
-  uint64_t total_tuples = 0;
-  bool exhausted = false;
-  const size_t threads =
-      options_.threads == 0 ? DefaultThreadCount() : options_.threads;
-  ParallelFor(
-      0, n,
-      [&](size_t w) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (exhausted) return;
-        }
-        BackwardSearchResult result =
-            BackwardSearch(graph_, static_cast<NodeId>(w), search);
-        std::lock_guard<std::mutex> lock(mu);
-        if (exhausted) return;
-        for (uint32_t level = 0; level < result.levels.size(); ++level) {
-          const auto& reserves = result.levels[level];
-          if (reserves.empty()) continue;
-          total_tuples += reserves.size();
-          const uint64_t key =
-              PackNodeLevel(static_cast<NodeId>(w), level);
-          TargetList& list = index.target_lists[key];
-          list.begin = index.target_payload.size();
-          for (const auto& [v, psi] : reserves) {
-            const float h = psi / static_cast<float>(term);
-            index.target_payload.emplace_back(v, h);
-            index.source_index[v].push_back(
-                {static_cast<NodeId>(w), level, h});
+  // Backward searches run in parallel into position-indexed slots, one
+  // block of targets at a time (bounding the memory held in flight), and
+  // each block is merged serially in w order. The index, and so every
+  // float sum a query accumulates over it, is then independent of thread
+  // count and scheduling. The tuple budget is a running total; it only
+  // grows, so aborting on it gives the same verdict as a full serial count.
+  constexpr size_t kTargetBlock = 4096;
+  std::vector<BackwardSearchResult> slots;
+  std::atomic<uint64_t> total_tuples{0};
+  std::atomic<bool> exhausted{false};
+  for (size_t block = 0; block < n; block += kTargetBlock) {
+    const size_t block_end = std::min<size_t>(n, block + kTargetBlock);
+    slots.assign(block_end - block, {});
+    ParallelFor(
+        block, block_end,
+        [&](size_t w) {
+          if (exhausted.load(std::memory_order_relaxed)) return;
+          BackwardSearchResult& result = slots[w - block];
+          result = BackwardSearch(graph_, static_cast<NodeId>(w), search);
+          const uint64_t tuples = result.TupleCount();
+          if (total_tuples.fetch_add(tuples) + tuples >
+              options_.max_index_tuples) {
+            exhausted = true;
           }
-          list.end = index.target_payload.size();
+        },
+        options_.threads);
+    if (exhausted) break;
+    for (size_t w = block; w < block_end; ++w) {
+      const BackwardSearchResult& result = slots[w - block];
+      for (uint32_t level = 0; level < result.levels.size(); ++level) {
+        const auto& reserves = result.levels[level];
+        if (reserves.empty()) continue;
+        TargetList& list =
+            index.target_lists[PackNodeLevel(static_cast<NodeId>(w), level)];
+        list.begin = index.target_payload.size();
+        for (const auto& [v, psi] : reserves) {
+          const float h = psi / static_cast<float>(term);
+          index.target_payload.emplace_back(v, h);
+          index.source_index[v].push_back({static_cast<NodeId>(w), level, h});
         }
-        if (total_tuples > options_.max_index_tuples) exhausted = true;
-      },
-      threads);
+        list.end = index.target_payload.size();
+      }
+    }
+  }
   if (exhausted) {
     return Status::ResourceExhausted(
         "SLING: index exceeds max_index_tuples = " +

@@ -108,7 +108,6 @@ uint64_t LeaderFingerprint(const std::string& algo,
 
 QueryService::QueryService(const QueryServiceOptions& options)
     : options_(options),
-      latencies_(options.latency_reservoir),
       pool_(options.threads) {
   PRSIM_CHECK(options_.max_queue > 0) << "max_queue must be positive";
   if (options_.cache_bytes > 0) {

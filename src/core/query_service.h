@@ -106,8 +106,6 @@ struct QueryServiceOptions {
     kReject,  ///< Submit() resolves immediately with kResourceExhausted
   };
   Backpressure backpressure = Backpressure::kBlock;
-  /// Retained latency samples for the percentile reservoir.
-  size_t latency_reservoir = 4096;
   /// Byte budget for the hot-source result cache (0 = cache disabled, the
   /// default). Only `fresh_seed` requests are cached — see
   /// core/result_cache.h for the determinism argument. Cache hits resolve
@@ -275,7 +273,7 @@ class QueryService {
   size_t inflight_ = 0;
   size_t inflight_high_water_ = 0;
   QueryCost aggregate_cost_;
-  StreamingPercentiles latencies_;
+  StreamingPercentiles latencies_{4096};  ///< latency percentile reservoir
 
   /// Declared last: destroyed first, so the pool drains (tasks touch the
   /// members above) before anything else dies.

@@ -97,6 +97,18 @@ std::string ResolveManifestPath(const std::string& manifest_path,
   return (std::filesystem::path(manifest_path).parent_path() / rel).string();
 }
 
+Result<Graph> LoadBundleGraph(const ShardManifest& manifest,
+                              const std::string& graph_path) {
+  PRSIM_ASSIGN_OR_RETURN(Graph graph, GraphIO::LoadBinary(graph_path));
+  if (graph.n() != manifest.n || graph.m() != manifest.m ||
+      graph.Checksum() != manifest.graph_checksum) {
+    return Status::InvalidArgument(
+        "graph artifact '" + graph_path +
+        "' does not match the manifest's graph fingerprint");
+  }
+  return graph;
+}
+
 Result<std::string> BuildShardBundle(const Graph& graph,
                                      const std::string& algo,
                                      const EngineConfig& config,

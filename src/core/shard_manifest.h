@@ -75,6 +75,13 @@ struct ShardManifest {
 std::string ResolveManifestPath(const std::string& manifest_path,
                                 const std::string& relative);
 
+/// Loads a graph artifact a manifest entry names (already resolved with
+/// ResolveManifestPath) and checks it against the manifest's graph
+/// fingerprint (n, m, checksum). A mismatch — say, a swapped graph.bin —
+/// is kInvalidArgument; every consumer of a bundle loads its graph here.
+Result<Graph> LoadBundleGraph(const ShardManifest& manifest,
+                              const std::string& graph_path);
+
 /// Builds a complete shard bundle under `out_dir` (created if missing):
 /// writes the graph artifact, constructs the engine via the registry, runs
 /// Preprocess(), persists its index when the engine has one, and writes

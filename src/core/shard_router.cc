@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "graph/io.h"
 #include "util/logging.h"
 #include "util/percentiles.h"
 
@@ -21,27 +20,7 @@ std::future<QueryResult> ReadyError(Status status) {
   return promise.get_future();
 }
 
-Status SourceOutOfRange(NodeId source, NodeId n) {
-  return Status::InvalidArgument("source " + std::to_string(source) +
-                                 " out of range (n = " + std::to_string(n) +
-                                 ")");
-}
-
 }  // namespace
-
-ScoreList MergeTopK(const std::vector<ScoreList>& per_shard, size_t k) {
-  ScoreList merged;
-  for (const ScoreList& part : per_shard) {
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const ScoreEntry& a, const ScoreEntry& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (merged.size() > k) merged.resize(k);
-  return merged;
-}
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     const std::string& manifest_path, const ShardRouterOptions& options) {
@@ -62,15 +41,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(
         ResolveManifestPath(manifest_path, shard.graph_path);
     const Graph*& graph = loaded[graph_path];
     if (graph == nullptr) {
-      GraphIO::LoadOptions load;
-      load.allow_mmap = options.allow_mmap;
-      PRSIM_ASSIGN_OR_RETURN(Graph g, GraphIO::LoadBinary(graph_path, load));
-      if (g.n() != m.n || g.m() != m.m ||
-          g.Checksum() != m.graph_checksum) {
-        return Status::InvalidArgument(
-            "graph artifact '" + graph_path +
-            "' does not match the manifest's graph fingerprint");
-      }
+      PRSIM_ASSIGN_OR_RETURN(Graph g, LoadBundleGraph(m, graph_path));
       router->graphs_.push_back(std::make_unique<Graph>(std::move(g)));
       graph = router->graphs_.back().get();
     }
@@ -98,8 +69,7 @@ std::future<QueryResult> ShardRouter::SubmitRequest(QueryRequest request) {
 #ifndef NDEBUG
   // Worker-thread registry: submitting from ANY shard's worker is a
   // deadlock risk (the owner shard's bounded queue may be waiting on
-  // capacity only that worker can free), not just the owner's —
-  // cross-shard fan-out (BroadcastTopK) can block one shard on another.
+  // capacity only that worker can free), not just the owner's.
   // QueryService::Submit re-asserts the owner-shard case.
   for (const auto& service : services_) {
     PRSIM_DCHECK(!service->OwnsCurrentThread())
@@ -115,7 +85,9 @@ std::future<QueryResult> ShardRouter::SubmitRequest(QueryRequest request) {
                                        request.algo + "'"));
   }
   if (request.source >= manifest_.n) {
-    return ReadyError(SourceOutOfRange(request.source, manifest_.n));
+    return ReadyError(Status::InvalidArgument(
+        "source " + std::to_string(request.source) + " out of range (n = " +
+        std::to_string(manifest_.n) + ")"));
   }
   // Router-level deadline gate: a request that is already expired (or
   // carries a zero budget) is refused BEFORE consuming a global stream
@@ -142,49 +114,6 @@ std::future<QueryResult> ShardRouter::SubmitRequest(QueryRequest request) {
   }
   const uint32_t shard = ShardOf(request.source);
   return services_[shard]->Submit(std::move(request));
-}
-
-std::future<QueryResult> ShardRouter::Submit(NodeId source, uint32_t k) {
-  QueryRequest request;
-  request.source = source;
-  request.k = k;
-  return SubmitRequest(std::move(request));
-}
-
-QueryResult ShardRouter::QueryFresh(NodeId source, uint32_t k) {
-  QueryRequest request;
-  request.source = source;
-  request.k = k;
-  request.fresh_seed = true;
-  return SubmitRequest(std::move(request)).get();
-}
-
-Result<ScoreList> ShardRouter::BroadcastTopK(NodeId source, size_t k) {
-  if (source >= manifest_.n) {
-    return SourceOutOfRange(source, manifest_.n);
-  }
-  std::vector<std::future<QueryResult>> futures;
-  futures.reserve(services_.size());
-  for (auto& service : services_) {
-    QueryRequest request;
-    request.source = source;
-    request.fresh_seed = true;
-    futures.push_back(service->Submit(std::move(request)));
-  }
-  std::vector<ScoreList> local(services_.size());
-  for (size_t s = 0; s < services_.size(); ++s) {
-    QueryResult result = futures[s].get();
-    PRSIM_RETURN_NOT_OK(result.status);
-    ScoreList owned;
-    for (const ScoreEntry& entry : result.scores) {
-      if (entry.first != source &&
-          ShardOfNode(entry.first, manifest_.n, manifest_.partition) == s) {
-        owned.push_back(entry);
-      }
-    }
-    local[s] = TopK(owned, k, source);
-  }
-  return MergeTopK(local, k);
 }
 
 ServiceStats ShardRouter::Stats() const {

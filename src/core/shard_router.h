@@ -10,19 +10,11 @@
 //
 // Determinism contract (the point of the whole layer): a sharded router
 // answers every request stream bit-identically to an unsharded service.
-// Two mechanisms deliver it:
-//   - ownership routing + global positions: the router stamps each
-//     submission with a process-global stream position and passes it as
-//     QueryRequest::seed_position, so the positional reseed matches what a
-//     single service would have used at any shard count;
-//   - fresh-seed one-shots: QueryFresh() answers exactly like a freshly
-//     loaded engine (the `query` CLI path), again shard-count-invariant.
-//
-// BroadcastTopK() exercises the distributed reduction instead: every shard
-// answers the full single-source query, keeps only the nodes it owns,
-// reduces to a local top-k, and the router merges with the deterministic
-// (score desc, node id asc) order — bit-identical to single-engine
-// QueryTopK by construction.
+// The router stamps each positional submission with a process-global
+// stream position and passes it as QueryRequest::seed_position, so the
+// positional reseed matches what a single service would have used at any
+// shard count; fresh-seed requests answer like a freshly loaded engine and
+// consume no position.
 
 #ifndef PRSIM_CORE_SHARD_ROUTER_H_
 #define PRSIM_CORE_SHARD_ROUTER_H_
@@ -50,8 +42,6 @@ struct ShardRouterOptions {
   /// Per-shard backpressure policy under a full queue.
   QueryServiceOptions::Backpressure backpressure =
       QueryServiceOptions::Backpressure::kBlock;
-  /// Forwarded to the artifact readers; read()-fallback when false.
-  bool allow_mmap = true;
   /// Per-shard result-cache byte budget (QueryServiceOptions::cache_bytes;
   /// 0 = off). Ownership routing means no key ever lives in two shard
   /// caches, so per-shard budgets compose: total cache memory is
@@ -62,11 +52,6 @@ struct ShardRouterOptions {
   /// full queues shed instead of blocking, cache hits keep answering.
   bool degraded = false;
 };
-
-/// Deterministic cross-shard merge of per-shard top-k lists: concatenates
-/// and re-ranks by (score desc, node id asc), keeping the best k. Exposed
-/// for tests; the inputs must already exclude the source node.
-ScoreList MergeTopK(const std::vector<ScoreList>& per_shard, size_t k);
 
 class ShardRouter {
  public:
@@ -90,26 +75,15 @@ class ShardRouter {
     return ShardOfNode(source, manifest_.n, manifest_.partition);
   }
 
-  /// Enqueues one query on the owner shard, stamped with the next global
-  /// stream position (k = 0 means the full single-source result). Invalid
-  /// sources resolve immediately with kInvalidArgument and consume no
-  /// position, mirroring QueryService's precheck semantics.
-  std::future<QueryResult> Submit(NodeId source, uint32_t k = 0);
-
-  /// Full-request form of Submit — the hook the network front end binds.
-  /// `algo` must be empty or the manifest's engine (anything else resolves
-  /// with kNotFound). fresh_seed requests route like QueryFresh and consume
-  /// no stream position; others are stamped with the next global position
-  /// unless the caller already set an explicit one.
+  /// Enqueues one request on the owner shard — the hook the serve
+  /// transports bind. `algo` must be empty or the manifest's engine
+  /// (anything else resolves with kNotFound). Invalid sources resolve
+  /// immediately with kInvalidArgument and consume no stream position,
+  /// mirroring QueryService's precheck semantics. fresh_seed requests
+  /// answer like a freshly loaded engine and consume no position; others
+  /// are stamped with the next global position unless the caller already
+  /// set an explicit one.
   std::future<QueryResult> SubmitRequest(QueryRequest request);
-
-  /// Blocking one-shot with fresh-engine seeding — the `query --manifest`
-  /// path. Bit-identical to querying a freshly loaded unsharded engine.
-  QueryResult QueryFresh(NodeId source, uint32_t k = 0);
-
-  /// Distributed top-k: full query on every shard, ownership-filtered
-  /// local top-k, deterministic merge. Fails if any shard fails.
-  Result<ScoreList> BroadcastTopK(NodeId source, size_t k);
 
   /// Aggregated view over all shard services: counters summed, cost
   /// counters accumulated, and percentiles recomputed over the pooled

@@ -778,6 +778,58 @@ TEST_F(CliTest, ShardBuildThenQueryManifestMatchesUnsharded) {
   EXPECT_EQ(ScoreLines(sharded), ScoreLines(unsharded));
 }
 
+// A batch over a bundle is the plain engine batch over the bundle's
+// artifacts: same positional seeds, same score rows.
+TEST_F(CliTest, QueryManifestSourcesFileMatchesIndexBatch) {
+  ASSERT_EQ(Run("generate --out " + Path("g.txt") +
+                " --model er --n 300 --degree 4 --seed 3"),
+            0);
+  const std::string params = " --algo prsim --eps 0.4 --seed 5";
+  ASSERT_EQ(Run("index --graph " + Path("g.txt") + " --out " + Path("g.idx") +
+                params),
+            0);
+  ASSERT_EQ(Run("shard-build --graph " + Path("g.txt") + " --out-dir " +
+                Path("bundle") + " --shards 3" + params),
+            0);
+  std::ofstream(Path("sources.txt")) << "11\n0\n299\n11\n42\n";
+  const std::string batch =
+      " --k 5 --format tsv --sources-file " + Path("sources.txt");
+  std::string unsharded, sharded;
+  ASSERT_EQ(Run("query --graph " + Path("g.txt") + " --index " +
+                    Path("g.idx") + params + batch,
+                &unsharded),
+            0)
+      << unsharded;
+  ASSERT_EQ(Run("query --manifest " + Path("bundle/manifest.bin") + batch,
+                &sharded),
+            0)
+      << sharded;
+  ASSERT_GE(ScoreTsvLines(unsharded).size(), 5u) << unsharded;
+  EXPECT_EQ(ScoreTsvLines(sharded), ScoreTsvLines(unsharded));
+}
+
+// The manifest's graph fingerprint guards `query --manifest` too: a bundle
+// whose graph.bin was swapped for another graph is refused, not answered.
+TEST_F(CliTest, QueryManifestRejectsSwappedGraph) {
+  ASSERT_EQ(Run("generate --out " + Path("g.txt") +
+                " --model er --n 300 --degree 4 --seed 3"),
+            0);
+  ASSERT_EQ(Run("shard-build --graph " + Path("g.txt") + " --out-dir " +
+                Path("bundle") + " --shards 2 --algo prsim --eps 0.4"),
+            0);
+  ASSERT_EQ(Run("generate --out " + Path("bundle/graph.bin") +
+                " --model er --n 300 --degree 4 --seed 4"),
+            0);
+  Spawned query = Spawn("query --manifest " + Path("bundle/manifest.bin") +
+                        " --source 1");
+  ASSERT_GT(query.pid, 0);
+  EXPECT_EQ(CloseStdinAndWait(&query), 1);
+  const std::string err = ReadFile(query.stderr_path);
+  EXPECT_NE(err.find("does not match the manifest's graph fingerprint"),
+            std::string::npos)
+      << err;
+}
+
 TEST_F(CliTest, ManifestIsMutuallyExclusiveWithGraphFlags) {
   ASSERT_EQ(Run("generate --out " + Path("g.txt") +
                 " --model er --n 300 --degree 4 --seed 3"),
@@ -791,6 +843,11 @@ TEST_F(CliTest, ManifestIsMutuallyExclusiveWithGraphFlags) {
             2);
   EXPECT_EQ(Run("query --manifest " + manifest + " --algo prsim --source 1"),
             2);
+  // The manifest records the engine flags too; only --threads may be set.
+  EXPECT_EQ(Run("query --manifest " + manifest + " --seed 7 --source 1"), 2);
+  EXPECT_EQ(Run("serve --manifest " + manifest + " --eps 0.2 --stdin"), 2);
+  EXPECT_EQ(Run("query --manifest " + manifest + " --threads 2 --source 1"),
+            0);
   EXPECT_EQ(Run("serve --manifest " + manifest + " --graph " + Path("g.txt") +
                 " --stdin"),
             2);
@@ -896,8 +953,8 @@ TEST_F(CliTest, CacheMbAndCountFlagValidation) {
   EXPECT_EQ(Run("serve --graph " + Path("g.txt") +
                 " --stdin --algo prsim --cache-mb -1"),
             2);
-  // The one-shot `query` path only routes a cache through the shard
-  // router; without --manifest the flag is an error, not a silent no-op.
+  // `query` has no result cache: a batch is positional, so never
+  // cacheable, and a one-shot has nothing to hit. The flag is unknown.
   EXPECT_EQ(
       Run("query --graph " + Path("g.txt") + " --source 1 --cache-mb 64"), 2);
   // The pipelined client bounds --count to its dispatch-window-safe range.

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -537,7 +539,8 @@ TEST(TcpServerTest, ShardedBackendMatchesUnshardedOverTcp) {
   }
 
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "prsim_net_test_bundle")
+      (std::filesystem::temp_directory_path() /
+       ("prsim_net_test_bundle_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(dir);
   PartitionSpec spec;
@@ -664,6 +667,12 @@ TEST(TcpServerTest, ShutdownDrainsInFlightAndStopsAccepting) {
   const uint16_t port = served.server->port();
   BinaryClient client(port);
   for (NodeId i = 0; i < 10; ++i) client.Send(FreshRequest(i, 5));
+  // Wait (bounded) until the server has accepted all ten requests, so the
+  // shutdown below races only their execution, not their arrival.
+  for (int i = 0; i < 1000 && served.server->Stats().requests < 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(served.server->Stats().requests, 10u);
   // Shutdown concurrently with the in-flight batch: every accepted request
   // must still be answered, then the connection closes.
   std::thread shutdown_thread([&] { served.server->Shutdown(); });
@@ -676,9 +685,7 @@ TEST(TcpServerTest, ShutdownDrainsInFlightAndStopsAccepting) {
     if (decoded.ok() && decoded.ValueOrDie().status_code == 0) ++answered;
   }
   shutdown_thread.join();
-  // Everything the server accepted before the half-close is answered; the
-  // tail may be cut off by the shutdown, but successes must be a prefix.
-  EXPECT_GT(answered, 0);
+  EXPECT_EQ(answered, 10);
   // After shutdown no new connection is served.
   auto late = ConnectTcp(port);
   if (late.ok()) {
@@ -687,7 +694,8 @@ TEST(TcpServerTest, ShutdownDrainsInFlightAndStopsAccepting) {
     EXPECT_TRUE(!n.ok() || n.ValueOrDie() == 0);
   }
   const ServiceStats stats = served.service->Stats();
-  EXPECT_EQ(stats.submitted, stats.completed + stats.failed);
+  EXPECT_EQ(stats.submitted, 10u);
+  EXPECT_EQ(stats.completed, 10u);
 }
 
 TEST(TcpServerTest, ExpiredDeadlineOverTcpConsumesNoSeedPosition) {
@@ -781,6 +789,9 @@ TEST(TcpServerTest, AcceptLoopSurvivesInjectedFdExhaustion) {
     const net::WireResponse response = client.Receive();
     EXPECT_EQ(response.status_code, 0) << response.error;
   }
+  // The injector must not be reconfigured under live evaluations, so the
+  // accept loop stops first.
+  served.server->Shutdown();
   FaultInjector::Global().Disable();
   EXPECT_EQ(served.server->Stats().connections, 4u);
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -207,6 +208,35 @@ INSTANTIATE_TEST_SUITE_P(AllPersistentEngines, PersistenceTest,
                          [](const ::testing::TestParamInfo<EngineCase>& info) {
                            return std::string(info.param.engine);
                          });
+
+// An artifact is a pure function of (graph, index options, seed): the
+// build thread count of the engines that build in parallel must not change
+// a single byte of it.
+TEST(PersistenceDeterminismTest, ArtifactIsByteIdenticalAtAnyThreadCount) {
+  const Graph graph = MakeRandomDigraph(300, 1800, 7);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("prsim_persistence_threads_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  for (const char* engine : {"prsim", "sling"}) {
+    std::vector<std::string> artifacts;
+    for (const char* threads : {"1", "4"}) {
+      auto built = EngineRegistry::Global().Create(
+          engine, graph, std::string("eps=0.3,seed=99,threads=") + threads);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      ASSERT_TRUE(built.ValueOrDie()->Preprocess().ok());
+      const std::string path = (dir / (std::string(engine) + threads)).string();
+      ASSERT_TRUE(built.ValueOrDie()->SaveIndex(path).ok());
+      std::ifstream in(path, std::ios::binary);
+      artifacts.emplace_back(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(artifacts[0].empty()) << engine;
+    EXPECT_TRUE(artifacts[0] == artifacts[1])
+        << engine << " artifact depends on the build thread count";
+  }
+  std::filesystem::remove_all(dir);
+}
 
 TEST(PersistenceUnimplementedTest, IndexFreeEnginesReportUnimplemented) {
   Graph g = MakeRandomDigraph(40, 160, 3);

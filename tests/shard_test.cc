@@ -26,6 +26,23 @@ namespace {
 
 using testing::MakeRandomDigraph;
 
+/// A fresh-seed request: answers like a freshly loaded engine's first
+/// query and consumes no stream position.
+QueryResult QueryFresh(ShardRouter& router, NodeId source, uint32_t k = 0) {
+  QueryRequest request;
+  request.source = source;
+  request.k = k;
+  request.fresh_seed = true;
+  return router.SubmitRequest(std::move(request)).get();
+}
+
+/// A positional request, stamped with the router's next stream position.
+std::future<QueryResult> Submit(ShardRouter& router, NodeId source) {
+  QueryRequest request;
+  request.source = source;
+  return router.SubmitRequest(std::move(request));
+}
+
 // ---------------------------------------------------------------------------
 // Partitioner.
 // ---------------------------------------------------------------------------
@@ -104,33 +121,6 @@ TEST(PartitionTest, MoreShardsThanNodesIsLegal) {
   size_t total = 0;
   for (const auto& shard : assignment) total += shard.size();
   EXPECT_EQ(total, 3u);  // the extra shards simply own no nodes
-}
-
-// ---------------------------------------------------------------------------
-// MergeTopK.
-// ---------------------------------------------------------------------------
-
-TEST(MergeTopKTest, OrdersByScoreThenId) {
-  const std::vector<ScoreList> per_shard = {
-      {{4, 0.5}, {9, 0.25}},
-      {{2, 0.5}, {7, 0.75}},
-      {},
-  };
-  const ScoreList merged = MergeTopK(per_shard, 3);
-  const ScoreList expected = {{7, 0.75}, {2, 0.5}, {4, 0.5}};
-  EXPECT_EQ(merged, expected);  // tie at 0.5 broken by ascending id
-}
-
-TEST(MergeTopKTest, KLargerThanTotalKeepsEverything) {
-  const std::vector<ScoreList> per_shard = {{{1, 0.1}}, {{0, 0.2}}};
-  const ScoreList merged = MergeTopK(per_shard, 10);
-  const ScoreList expected = {{0, 0.2}, {1, 0.1}};
-  EXPECT_EQ(merged, expected);
-}
-
-TEST(MergeTopKTest, EmptyInputYieldsEmpty) {
-  EXPECT_TRUE(MergeTopK({}, 5).empty());
-  EXPECT_TRUE(MergeTopK({{}, {}}, 5).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -274,8 +264,9 @@ class ShardRouterTest : public ::testing::TestWithParam<EngineCase> {
   Graph graph_;
 };
 
-// QueryFresh answers exactly like a freshly loaded engine's first query —
-// the `query --manifest` contract — at every shard and thread count.
+// A fresh-seed request answers exactly like a freshly loaded engine's first
+// query — what `client --fresh` against `serve --manifest` relies on — at
+// every shard and thread count.
 TEST_P(ShardRouterTest, QueryFreshMatchesUnshardedEngine) {
   auto reference = ReferenceEngine();
   for (const uint32_t shards : {1u, 2u, 3u}) {
@@ -290,7 +281,7 @@ TEST_P(ShardRouterTest, QueryFreshMatchesUnshardedEngine) {
       for (const NodeId source : {NodeId{3}, NodeId{57}, NodeId{119}}) {
         reference->Reseed(reference->seed());  // fresh-engine first query
         const ScoreList expected = Sorted(reference->Query(source));
-        QueryResult result = router.ValueOrDie()->QueryFresh(source);
+        QueryResult result = QueryFresh(*router.ValueOrDie(), source);
         ASSERT_TRUE(result.status.ok()) << result.status.ToString();
         EXPECT_EQ(Sorted(result.scores), expected)
             << "shards=" << shards << " threads=" << threads
@@ -317,7 +308,7 @@ TEST_P(ShardRouterTest, SubmitStreamMatchesBatchQuery) {
       std::vector<std::future<QueryResult>> futures;
       futures.reserve(sources.size());
       for (const NodeId source : sources) {
-        futures.push_back(router.ValueOrDie()->Submit(source));
+        futures.push_back(Submit(*router.ValueOrDie(), source));
       }
       for (size_t i = 0; i < sources.size(); ++i) {
         QueryResult result = futures[i].get();
@@ -355,7 +346,7 @@ TEST_P(ShardRouterTest, CacheEnabledRouterStaysBitIdentical) {
       for (const NodeId source : {NodeId{3}, NodeId{57}}) {
         reference->Reseed(reference->seed());
         const ScoreList want = Sorted(reference->Query(source));
-        QueryResult result = routed.QueryFresh(source);
+        QueryResult result = QueryFresh(routed, source);
         ASSERT_TRUE(result.status.ok()) << result.status.ToString();
         EXPECT_EQ(Sorted(result.scores), want)
             << "shards=" << shards << " pass=" << pass << " source=" << source;
@@ -365,7 +356,7 @@ TEST_P(ShardRouterTest, CacheEnabledRouterStaysBitIdentical) {
     std::vector<std::future<QueryResult>> futures;
     futures.reserve(sources.size());
     for (const NodeId source : sources) {
-      futures.push_back(routed.Submit(source));
+      futures.push_back(Submit(routed, source));
     }
     for (size_t i = 0; i < sources.size(); ++i) {
       QueryResult result = futures[i].get();
@@ -381,31 +372,12 @@ TEST_P(ShardRouterTest, CacheEnabledRouterStaysBitIdentical) {
   }
 }
 
-// The distributed reduction: ownership-filtered local top-k lists merge
-// into exactly the single-engine QueryTopK answer.
-TEST_P(ShardRouterTest, BroadcastTopKMatchesQueryTopK) {
-  auto reference = ReferenceEngine();
-  for (const uint32_t shards : {1u, 3u}) {
-    const std::string manifest = BuildBundle(shards);
-    auto router = ShardRouter::Open(manifest);
-    ASSERT_TRUE(router.ok()) << router.status().ToString();
-    for (const NodeId source : {NodeId{3}, NodeId{57}}) {
-      reference->Reseed(reference->seed());
-      const ScoreList expected = TopK(reference->Query(source), 10, source);
-      auto merged = router.ValueOrDie()->BroadcastTopK(source, 10);
-      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-      EXPECT_EQ(merged.ValueOrDie(), expected)
-          << "shards=" << shards << " source=" << source;
-    }
-  }
-}
-
 TEST_P(ShardRouterTest, TopKSubmitMatchesUnsharded) {
   auto reference = ReferenceEngine();
   const std::string manifest = BuildBundle(2);
   auto router = ShardRouter::Open(manifest);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
-  QueryResult result = router.ValueOrDie()->QueryFresh(3, /*k=*/5);
+  QueryResult result = QueryFresh(*router.ValueOrDie(), 3, /*k=*/5);
   ASSERT_TRUE(result.status.ok());
   reference->Reseed(reference->seed());
   EXPECT_EQ(result.scores, TopK(reference->Query(3), 5, 3));
@@ -415,12 +387,12 @@ TEST_P(ShardRouterTest, InvalidSourceFailsWithoutConsumingAPosition) {
   const std::string manifest = BuildBundle(2);
   auto router = ShardRouter::Open(manifest);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
-  QueryResult bad = router.ValueOrDie()->Submit(graph_.n()).get();
+  QueryResult bad = Submit(*router.ValueOrDie(), graph_.n()).get();
   EXPECT_EQ(bad.status.code(), StatusCode::kInvalidArgument);
   // The rejected request must not have shifted the positional seed stream.
   auto reference = ReferenceEngine();
   const ScoreList expected = Sorted(BatchQuery(*reference, {NodeId{3}})[0]);
-  EXPECT_EQ(Sorted(router.ValueOrDie()->Submit(3).get().scores), expected);
+  EXPECT_EQ(Sorted(Submit(*router.ValueOrDie(), 3).get().scores), expected);
 }
 
 // One shard's traffic being shed must be invisible to the other shards:
@@ -452,7 +424,7 @@ TEST_P(ShardRouterTest, ExpiredRequestShedsWithoutShiftingOtherShards) {
       expired_request.deadline_ms = 0;
       doomed = routed.SubmitRequest(std::move(expired_request));
     }
-    futures.push_back(routed.Submit(sources[i]));
+    futures.push_back(Submit(routed, sources[i]));
   }
   const QueryResult refused = doomed.get();
   EXPECT_EQ(refused.status.code(), StatusCode::kDeadlineExceeded);
@@ -551,7 +523,7 @@ TEST_F(ShardRouterErrorTest, IndexFreeEngineBundleServes) {
   ASSERT_TRUE(reference.ValueOrDie()->Preprocess().ok());
   reference.ValueOrDie()->Reseed(reference.ValueOrDie()->seed());
   ScoreList expected = reference.ValueOrDie()->Query(11);
-  QueryResult result = router.ValueOrDie()->QueryFresh(11);
+  QueryResult result = QueryFresh(*router.ValueOrDie(), 11);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   std::sort(expected.begin(), expected.end());
   std::sort(result.scores.begin(), result.scores.end());

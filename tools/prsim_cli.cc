@@ -18,8 +18,8 @@
 //       Builds a self-contained shard bundle: graph artifact, engine index
 //       (for persistent engines), and a manifest recording the engine,
 //       its params, and the deterministic partition spec. `query
-//       --manifest` and `serve --manifest` reconstruct the whole serving
-//       topology from the manifest alone.
+//       --manifest` and `serve --manifest` take everything they need from
+//       the manifest alone.
 //   prsim_cli query     --graph g.txt --source U [--algo prsim]
 //                       [--params k=v,k=v] [--index g.idx] [--eps 0.1]
 //                       [--c 0.6] [--k 20] [--seed S] [--j0 N] [--alpha A]
@@ -28,10 +28,13 @@
 //       Alternatively: prsim_cli query --manifest DIR/manifest.bin
 //                       --source U [--k 20] [--threads T] [--format ...]
 //                       [--sources-file f.txt]
-//       routes the query through the shard bundle's router; --manifest is
-//       mutually exclusive with --graph/--index/--algo/--params (the
-//       manifest already records all of them) and answers bit-identically
-//       to the unsharded command at any shard count.
+//       takes the engine, its params, the graph and the index from a shard
+//       bundle. Every shard of a bundle aliases the same graph and index
+//       artifacts, so this is the same engine query as the flag form, over
+//       a graph checked against the manifest's fingerprint (exit 1 on a
+//       mismatch). --manifest is mutually exclusive with --graph, --index,
+//       --algo, --params and every engine flag but --threads: the manifest
+//       records them.
 //       Answers a single-source query with any registry engine (loading a
 //       saved index if given — the artifact must match the graph and the
 //       index-shaping options — otherwise preprocessing in-process) and
@@ -55,10 +58,11 @@
 //                       [--idle-timeout-ms MS] [--io-timeout-ms MS]
 //                       [--faults SPEC] [--fault-seed S]
 //       Alternatively: prsim_cli serve --manifest DIR/manifest.bin ...
-//       serves the shard bundle: one QueryService per shard, requests
-//       routed by source ownership, global positional seeds — the sharded
-//       topology answers every request stream bit-identically to the
-//       unsharded one. Same mutual exclusion as `query --manifest`.
+//       serves the shard bundle through the ShardRouter: one QueryService
+//       per shard, requests routed by source ownership, global positional
+//       seeds — the sharded topology answers every request stream
+//       bit-identically to the unsharded one. Same mutual exclusion as
+//       `query --manifest`.
 //       Long-lived query service behind one of two transports (exactly one
 //       must be given):
 //         --stdin: reads newline-delimited requests "<source> [k]",
@@ -330,6 +334,104 @@ int BuildEngineConfig(const Flags& flags, EngineConfig* out) {
   return 0;
 }
 
+/// Where the engine of `query` and `serve` comes from: the --graph,
+/// --index, --algo and --params flags, or a shard bundle's --manifest,
+/// which records all four.
+struct EngineSource {
+  const EngineInfo* info = nullptr;
+  EngineConfig config;
+  std::string graph_path;
+  std::string index_path;     ///< empty: preprocess in-process
+  std::string manifest_path;  ///< empty unless the source is a bundle
+  ShardManifest manifest;
+};
+
+/// Resolves the EngineSource of `cmd` ("query" or "serve") and runs every
+/// engine check once, before any graph is loaded. Returns 0, 2 on bad
+/// flags, or 1 on an unreadable manifest.
+int ResolveEngineSource(const Flags& flags, const char* cmd,
+                        EngineSource* out) {
+  out->manifest_path = flags.Get("manifest", "");
+  const bool bundle = !out->manifest_path.empty();
+  if (bundle) {
+    // The manifest already records the graph, index, engine, and params; a
+    // conflicting flag is a confused invocation, not an override request.
+    for (const char* conflicting : {"graph", "index", "algo", "params"}) {
+      if (flags.HasValue(conflicting)) {
+        std::fprintf(stderr, "%s: --manifest is mutually exclusive with --%s\n",
+                     cmd, conflicting);
+        return 2;
+      }
+    }
+    auto manifest = ShardManifest::Load(out->manifest_path);
+    if (!manifest.ok()) {
+      std::fprintf(stderr, "%s\n", manifest.status().ToString().c_str());
+      return 1;
+    }
+    out->manifest = std::move(manifest).ValueOrDie();
+    // Every shard entry aliases the same artifacts (core/shard_manifest.h),
+    // so shard 0's artifacts serve the whole bundle.
+    const ShardArtifacts& shard = out->manifest.shards[0];
+    out->graph_path = ResolveManifestPath(out->manifest_path, shard.graph_path);
+    if (!shard.index_path.empty()) {
+      out->index_path =
+          ResolveManifestPath(out->manifest_path, shard.index_path);
+    }
+  } else {
+    out->graph_path = flags.Get("graph", "");
+    out->index_path = flags.Get("index", "");
+    if (out->graph_path.empty()) {
+      std::fprintf(stderr, "%s: --graph or --manifest is required\n", cmd);
+      return 2;
+    }
+  }
+  const std::string algo =
+      bundle ? out->manifest.algo : flags.Get("algo", "prsim");
+  out->info = EngineRegistry::Global().Find(algo);
+  if (out->info == nullptr) {
+    std::fprintf(stderr, "%s: unknown --algo '%s' (run `prsim_cli algos`)\n",
+                 cmd, algo.c_str());
+    return 2;
+  }
+  if (!out->index_path.empty() && !out->info->has_persistent_index) {
+    std::fprintf(stderr,
+                 "%s: --algo %s has no persistent index, so --index is not "
+                 "supported\n",
+                 cmd, out->info->name.c_str());
+    return 2;
+  }
+  if (const int rc = BuildEngineConfig(flags, &out->config); rc != 0) {
+    return rc;
+  }
+  if (bundle) {
+    // The engine runs exactly as the bundle was built: an engine flag would
+    // be silently dropped, so it is refused. --threads, the one engine flag
+    // a bundle accepts, only sizes the worker pools.
+    for (const std::string& key : out->config.Keys()) {
+      if (key != "threads") {
+        std::fprintf(stderr,
+                     "%s: --manifest records the engine params, so '%s' "
+                     "cannot be set\n",
+                     cmd, key.c_str());
+        return 2;
+      }
+    }
+    auto config = out->manifest.Config();
+    if (!config.ok()) {
+      std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
+      return 1;
+    }
+    out->config = std::move(config).ValueOrDie();
+  }
+  if (Status st = EngineRegistry::Global().Validate(out->info->name,
+                                                    out->config);
+      !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  return 0;
+}
+
 int CmdAlgos(const Flags&) {
   const EngineRegistry& registry = EngineRegistry::Global();
   std::printf("%-12s %-6s %-5s %-8s %-28s %s\n", "name", "index", "pair",
@@ -520,63 +622,49 @@ void PrintQueryJson(const std::string& algo, const QueryCost& cost,
   std::printf("]}\n");
 }
 
-/// Parses a node id token, requiring id < n. Returns false (with a message
-/// in *error) on malformed input or out-of-range ids.
-bool ParseNodeId(const std::string& token, NodeId n, NodeId* id,
-                 std::string* error) {
-  uint64_t value = 0;
-  if (!ParseUint64(token, &value) || value >= n) {
-    *error = "invalid node id '" + token + "' (n = " + std::to_string(n) + ")";
-    return false;
-  }
-  *id = static_cast<NodeId>(value);
-  return true;
-}
-
-/// Reads a sources file (one node id per line, '#' comments) into
-/// *sources, counting malformed/out-of-range lines in *invalid (each
-/// reported on stderr). Returns the batch-mode exit code: 0 to proceed, 1
-/// on unreadable file or no valid sources (3 if invalid lines were seen).
-int ReadSourcesFile(const std::string& sources_path, NodeId n,
-                    std::vector<NodeId>* sources, size_t* invalid) {
+/// Batch mode of `query`: answers every valid node id in `sources_path`
+/// (one per line, '#' comments) through the shared thread pool and reports
+/// latency percentiles. Malformed or out-of-range lines are reported
+/// individually on stderr and skipped; any such line turns the exit code
+/// into 3 (0 = clean batch, 1 = unreadable file or no valid sources).
+int RunBatchQuery(SingleSourceSimRank& engine, const std::string& sources_path,
+                  QueryFormat format, uint32_t k, size_t threads) {
   std::ifstream in(sources_path);
   if (!in) {
     std::fprintf(stderr, "query: cannot open --sources-file %s\n",
                  sources_path.c_str());
     return 1;
   }
+  const NodeId n = engine.node_count();
+  std::vector<NodeId> sources;
+  size_t invalid = 0;
   size_t line_no = 0;
   std::string line;
   while (std::getline(in, line)) {
     ++line_no;
     const std::string token = net::TrimRequestLine(line);
     if (token.empty()) continue;
-    NodeId id = 0;
-    std::string error;
-    if (!ParseNodeId(token, n, &id, &error)) {
-      std::fprintf(stderr, "%s:%zu: %s\n", sources_path.c_str(), line_no,
-                   error.c_str());
-      ++*invalid;
+    uint64_t id = 0;
+    if (!ParseUint64(token, &id) || id >= n) {
+      std::fprintf(stderr, "%s:%zu: invalid node id '%s' (n = %u)\n",
+                   sources_path.c_str(), line_no, token.c_str(), n);
+      ++invalid;
       continue;
     }
-    sources->push_back(id);
+    sources.push_back(static_cast<NodeId>(id));
   }
-  if (sources->empty()) {
+  if (sources.empty()) {
     std::fprintf(stderr, "query: no valid sources in %s\n",
                  sources_path.c_str());
-    return *invalid > 0 ? 3 : 1;
+    return invalid > 0 ? 3 : 1;
   }
-  return 0;
-}
 
-/// Renders a finished batch in the same shape for the unsharded and
-/// sharded paths, so their score lines diff clean.
-void PrintBatch(const std::string& algo, QueryFormat format,
-                const std::vector<NodeId>& sources,
-                const std::vector<ScoreList>& topk, size_t invalid,
-                double total_seconds, const QueryCost& cost) {
+  WallTimer timer;
+  const BatchQueryResult batch = BatchQueryWithStats(engine, sources, threads);
+  const double total_seconds = timer.Seconds();
+  const QueryCost& cost = batch.cost;
   if (format == QueryFormat::kTsv) {
-    std::printf("meta\talgo\t%s\n", algo.c_str());
+    std::printf("meta\talgo\t%s\n", engine.name().c_str());
     std::printf("meta\tqueries\t%zu\n", sources.size());
     std::printf("meta\tinvalid\t%zu\n", invalid);
     std::printf("meta\tbatch_s\t%.6f\n", total_seconds);
@@ -584,14 +672,14 @@ void PrintBatch(const std::string& algo, QueryFormat format,
     std::printf("meta\tp95_ms\t%.6f\n", cost.latency_p95_seconds * 1e3);
     std::printf("meta\tp99_ms\t%.6f\n", cost.latency_p99_seconds * 1e3);
     for (size_t i = 0; i < sources.size(); ++i) {
-      for (const auto& [v, s] : topk[i]) {
+      for (const auto& [v, s] : TopK(batch.scores[i], k, sources[i])) {
         std::printf("score\t%u\t%u\t%.17g\n", sources[i], v, s);
       }
     }
   } else {
     for (size_t i = 0; i < sources.size(); ++i) {
       std::printf("source %u:\n", sources[i]);
-      for (const auto& [v, s] : topk[i]) {
+      for (const auto& [v, s] : TopK(batch.scores[i], k, sources[i])) {
         std::printf("  %-10u %.6f\n", v, s);
       }
     }
@@ -602,97 +690,13 @@ void PrintBatch(const std::string& algo, QueryFormat format,
         cost.latency_p50_seconds * 1e3, cost.latency_p95_seconds * 1e3,
         cost.latency_p99_seconds * 1e3);
   }
-}
-
-/// Batch mode of `query`: answers every valid node id in `sources_path`
-/// through the shared thread pool and reports latency percentiles. Invalid
-/// lines are reported individually on stderr and skipped; any such line
-/// turns the exit code into 3 (0 = clean batch, 1 = I/O failure).
-int RunBatchQuery(SingleSourceSimRank& engine, const std::string& sources_path,
-                  QueryFormat format, uint32_t k, size_t threads) {
-  std::vector<NodeId> sources;
-  size_t invalid = 0;
-  if (const int rc = ReadSourcesFile(sources_path, engine.node_count(),
-                                     &sources, &invalid);
-      rc != 0) {
-    return rc;
-  }
-
-  WallTimer timer;
-  const BatchQueryResult batch = BatchQueryWithStats(engine, sources, threads);
-  const double total_seconds = timer.Seconds();
-  std::vector<ScoreList> topk(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    topk[i] = TopK(batch.scores[i], k, sources[i]);
-  }
-  PrintBatch(engine.name(), format, sources, topk, invalid, total_seconds,
-             batch.cost);
-  return invalid > 0 ? 3 : 0;
-}
-
-/// Batch mode of `query --manifest`: the same request stream pushed through
-/// the shard router. Global positional seeds make the scores bit-identical
-/// to RunBatchQuery over the same sources at any shard count.
-int RunBatchQueryManifest(ShardRouter& router, const std::string& algo,
-                          const std::string& sources_path, QueryFormat format,
-                          uint32_t k) {
-  std::vector<NodeId> sources;
-  size_t invalid = 0;
-  if (const int rc =
-          ReadSourcesFile(sources_path, router.node_count(), &sources,
-                          &invalid);
-      rc != 0) {
-    return rc;
-  }
-
-  WallTimer timer;
-  std::vector<std::future<QueryResult>> futures;
-  futures.reserve(sources.size());
-  for (const NodeId source : sources) futures.push_back(router.Submit(source));
-  std::vector<ScoreList> topk(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    QueryResult result = futures[i].get();
-    if (!result.status.ok()) {
-      std::fprintf(stderr, "%s\n", result.status.ToString().c_str());
-      return 1;
-    }
-    topk[i] = TopK(result.scores, k, sources[i]);
-  }
-  const double total_seconds = timer.Seconds();
-  PrintBatch(algo, format, sources, topk, invalid, total_seconds,
-             router.Stats().aggregate_cost);
   return invalid > 0 ? 3 : 0;
 }
 
 int CmdQuery(const Flags& flags) {
-  const std::string manifest_path = flags.Get("manifest", "");
-  const std::string graph_path = flags.Get("graph", "");
-  if (!manifest_path.empty()) {
-    // The manifest already records the graph, index, engine, and params; a
-    // conflicting flag is a confused invocation, not an override request.
-    for (const char* conflicting : {"graph", "index", "algo", "params"}) {
-      if (flags.HasValue(conflicting)) {
-        std::fprintf(stderr,
-                     "query: --manifest is mutually exclusive with --%s\n",
-                     conflicting);
-        return 2;
-      }
-    }
-  } else if (graph_path.empty()) {
-    std::fprintf(stderr, "query: --graph or --manifest is required\n");
-    return 2;
-  }
-  // Validate the cheap inputs — the algo name, its config, --source, --k,
-  // --format — before graph loading / index loading / preprocessing, so a
-  // bad flag fails fast with exit 2 instead of after minutes of work.
-  const std::string algo = flags.Get("algo", "prsim");
-  const EngineInfo* info = EngineRegistry::Global().Find(algo);
-  if (info == nullptr) {
-    std::fprintf(stderr,
-                 "query: unknown --algo '%s' (run `prsim_cli algos`)\n",
-                 algo.c_str());
-    return 2;
-  }
+  // Validate the cheap inputs — --format, --source/--sources-file, and the
+  // engine flags — before graph loading / index loading / preprocessing,
+  // so a bad flag fails fast with exit 2 instead of after minutes of work.
   const std::string format_name = flags.Get("format", "text");
   QueryFormat format = QueryFormat::kText;
   if (format_name == "tsv") {
@@ -712,110 +716,22 @@ int CmdQuery(const Flags& flags) {
                  "exclusive\n");
     return 2;
   }
-  // The result cache lives in the QueryService layer; the direct engine
-  // path answers one-shot and has nothing to cache. Negative or malformed
-  // values exit 2 inside GetInt.
-  if (flags.HasValue("cache-mb") && manifest_path.empty()) {
-    std::fprintf(stderr, "query: --cache-mb requires --manifest\n");
-    return 2;
-  }
   if (!sources_path.empty() && format == QueryFormat::kJson) {
     std::fprintf(stderr,
                  "query: --sources-file supports --format text or tsv\n");
     return 2;
   }
-
-  if (!manifest_path.empty()) {
-    if (flags.HasValue("threads") && flags.GetInt("threads", 1) == 0) {
-      std::fprintf(stderr, "--threads must be >= 1\n");
-      return 2;
-    }
-    const auto source = static_cast<NodeId>(flags.GetUint32("source", 0));
-    const uint32_t k = flags.GetUint32("k", 20);
-    FILE* progress = format == QueryFormat::kText ? stdout : stderr;
-
-    ShardRouterOptions router_options;
-    router_options.threads_per_shard =
-        static_cast<size_t>(flags.GetInt("threads", 0));
-    router_options.cache_bytes =
-        static_cast<size_t>(flags.GetInt("cache-mb", 0)) * (size_t{1} << 20);
-    WallTimer open_timer;
-    auto router_result = ShardRouter::Open(manifest_path, router_options);
-    if (!router_result.ok()) {
-      std::fprintf(stderr, "%s\n", router_result.status().ToString().c_str());
-      return 1;
-    }
-    std::unique_ptr<ShardRouter> router =
-        std::move(router_result).ValueOrDie();
-    const double open_seconds = open_timer.Seconds();
-    // The engine's display name ("PRSim"), so sharded output lines diff
-    // clean against the unsharded command's.
-    const EngineInfo* served =
-        EngineRegistry::Global().Find(router->manifest().algo);
-    const std::string algo_name =
-        served != nullptr ? served->display_name : router->manifest().algo;
-    std::fprintf(progress, "opened %u shard(s) of %s from %s in %.2fs\n",
-                 router->shard_count(), algo_name.c_str(),
-                 manifest_path.c_str(), open_seconds);
-
-    if (!sources_path.empty()) {
-      return RunBatchQueryManifest(*router, algo_name, sources_path, format,
-                                   k);
-    }
-    if (source >= router->node_count()) {
-      std::fprintf(stderr, "query: --source %u out of range (n = %u)\n",
-                   source, router->node_count());
-      return 2;
-    }
-    WallTimer query_timer;
-    const QueryResult result = router->QueryFresh(source);
-    if (!result.status.ok()) {
-      std::fprintf(stderr, "%s\n", result.status.ToString().c_str());
-      return 1;
-    }
-    const double query_seconds = query_timer.Seconds();
-    const ScoreList topk = TopK(result.scores, k, source);
-    if (format == QueryFormat::kTsv) {
-      PrintQueryTsv(algo_name, result.cost, source, k, open_seconds,
-                    query_seconds, result.scores.size(), topk);
-      return 0;
-    }
-    if (format == QueryFormat::kJson) {
-      PrintQueryJson(algo_name, result.cost, source, k, open_seconds,
-                     query_seconds, result.scores.size(), topk);
-      return 0;
-    }
-    std::printf("query answered in %.4fs (%zu non-zero scores)\n",
-                query_seconds, result.scores.size());
-    std::printf("cost: algo=%s", algo_name.c_str());
-    for (const auto& [name, value] : CostFields(result.cost)) {
-      std::printf(" %s=%llu", name, value);
-    }
-    std::printf("\n");
-    for (const auto& [v, s] : topk) {
-      std::printf("%-10u %.6f\n", v, s);
-    }
-    return 0;
-  }
-
-  EngineConfig config;
-  if (const int rc = BuildEngineConfig(flags, &config); rc != 0) return rc;
-  if (Status st = EngineRegistry::Global().Validate(algo, config); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
+  EngineSource spec;
+  if (const int rc = ResolveEngineSource(flags, "query", &spec); rc != 0) {
+    return rc;
   }
   const auto source = static_cast<NodeId>(flags.GetUint32("source", 0));
   const uint32_t k = flags.GetUint32("k", 20);
-  const std::string index_path = flags.Get("index", "");
-  if (!index_path.empty() && !info->has_persistent_index) {
-    std::fprintf(stderr,
-                 "query: --algo %s has no persistent index, so --index is "
-                 "not supported\n",
-                 info->name.c_str());
-    return 2;
-  }
 
-  auto graph_result = LoadAnyGraph(graph_path);
+  // A bundle's graph must match the fingerprint its manifest recorded.
+  auto graph_result = spec.manifest_path.empty()
+                          ? LoadAnyGraph(spec.graph_path)
+                          : LoadBundleGraph(spec.manifest, spec.graph_path);
   if (!graph_result.ok()) {
     std::fprintf(stderr, "%s\n", graph_result.status().ToString().c_str());
     return 1;
@@ -827,7 +743,8 @@ int CmdQuery(const Flags& flags) {
     return 2;
   }
 
-  auto engine_result = EngineRegistry::Global().Create(algo, graph, config);
+  auto engine_result = EngineRegistry::Global().Create(spec.info->name, graph,
+                                                       spec.config);
   engine_result.status().Abort();  // config already validated above
   std::unique_ptr<SingleSourceSimRank> engine =
       std::move(engine_result).ValueOrDie();
@@ -836,14 +753,14 @@ int CmdQuery(const Flags& flags) {
   // carries nothing but the tsv/json payload.
   FILE* progress = format == QueryFormat::kText ? stdout : stderr;
   WallTimer prep_timer;
-  if (!index_path.empty()) {
-    Status st = engine->LoadIndex(index_path);
+  if (!spec.index_path.empty()) {
+    Status st = engine->LoadIndex(spec.index_path);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
     std::fprintf(progress, "loaded index from %s in %.2fs\n",
-                 index_path.c_str(), prep_timer.Seconds());
+                 spec.index_path.c_str(), prep_timer.Seconds());
   } else {
     Status st = engine->Preprocess();
     if (!st.ok()) {
@@ -990,37 +907,36 @@ struct ServeBackend {
   std::function<ServiceStats()> stats;
 };
 
-/// Builds the unsharded or sharded backend from the serve flags. Returns 0
-/// and fills *backend on success, else the exit code (the ready banner has
-/// already been printed to stderr).
-int OpenServeBackend(const Flags& flags, const std::string& manifest_path,
-                     const std::string& graph_path, ServeBackend* backend) {
+/// Builds the unsharded (--graph) or sharded (--manifest) backend from the
+/// serve flags. Returns 0 and fills *backend on success, else the exit code
+/// (the ready banner has already been printed to stderr).
+int OpenServeBackend(const Flags& flags, ServeBackend* backend) {
   const size_t max_queue = static_cast<size_t>(flags.GetInt("queue", 1024));
   if (max_queue == 0) {
     std::fprintf(stderr, "serve: --queue must be positive\n");
     return 2;
   }
-  if (flags.HasValue("threads") && flags.GetInt("threads", 1) == 0) {
-    std::fprintf(stderr, "--threads must be >= 1\n");
-    return 2;
+  EngineSource spec;
+  if (const int rc = ResolveEngineSource(flags, "serve", &spec); rc != 0) {
+    return rc;
   }
-
+  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 0));
   // Negative or malformed --cache-mb values exit 2 inside GetInt.
   const size_t cache_bytes =
       static_cast<size_t>(flags.GetInt("cache-mb", 0)) * (size_t{1} << 20);
+  const auto backpressure = flags.Has("reject")
+                                ? QueryServiceOptions::Backpressure::kReject
+                                : QueryServiceOptions::Backpressure::kBlock;
 
-  if (!manifest_path.empty()) {
+  if (!spec.manifest_path.empty()) {
+    WallTimer start_timer;
     ShardRouterOptions options;
-    options.threads_per_shard =
-        static_cast<size_t>(flags.GetInt("threads", 0));
+    options.threads_per_shard = threads;
     options.max_queue = max_queue;
+    options.backpressure = backpressure;
     options.cache_bytes = cache_bytes;
     options.degraded = flags.Has("degraded");
-    if (flags.Has("reject")) {
-      options.backpressure = QueryServiceOptions::Backpressure::kReject;
-    }
-    WallTimer start_timer;
-    auto router_result = ShardRouter::Open(manifest_path, options);
+    auto router_result = ShardRouter::Open(spec.manifest_path, options);
     if (!router_result.ok()) {
       std::fprintf(stderr, "%s\n", router_result.status().ToString().c_str());
       return 1;
@@ -1040,30 +956,7 @@ int OpenServeBackend(const Flags& flags, const std::string& manifest_path,
     return 0;
   }
 
-  const std::string algo = flags.Get("algo", "prsim");
-  const EngineInfo* info = EngineRegistry::Global().Find(algo);
-  if (info == nullptr) {
-    std::fprintf(stderr,
-                 "serve: unknown --algo '%s' (run `prsim_cli algos`)\n",
-                 algo.c_str());
-    return 2;
-  }
-  const std::string index_path = flags.Get("index", "");
-  if (!index_path.empty() && !info->has_persistent_index) {
-    std::fprintf(stderr,
-                 "serve: --algo %s has no persistent index, so --index is "
-                 "not supported\n",
-                 info->name.c_str());
-    return 2;
-  }
-  EngineConfig config;
-  if (const int rc = BuildEngineConfig(flags, &config); rc != 0) return rc;
-  if (Status st = EngineRegistry::Global().Validate(algo, config); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-
-  auto graph_result = LoadAnyGraph(graph_path);
+  auto graph_result = LoadAnyGraph(spec.graph_path);
   if (!graph_result.ok()) {
     std::fprintf(stderr, "%s\n", graph_result.status().ToString().c_str());
     return 1;
@@ -1072,20 +965,19 @@ int OpenServeBackend(const Flags& flags, const std::string& manifest_path,
       std::make_unique<Graph>(std::move(graph_result).ValueOrDie());
 
   QueryServiceOptions options;
-  options.threads = static_cast<size_t>(flags.GetInt("threads", 0));
+  options.threads = threads;
   options.max_queue = max_queue;
+  options.backpressure = backpressure;
   options.cache_bytes = cache_bytes;
   options.degraded = flags.Has("degraded");
-  if (flags.Has("reject")) {
-    options.backpressure = QueryServiceOptions::Backpressure::kReject;
-  }
   backend->service = std::make_unique<QueryService>(options);
   WallTimer start_timer;
-  Status st = index_path.empty()
-                  ? backend->service->AddEngine(info->name, *backend->graph,
-                                                config)
+  Status st = spec.index_path.empty()
+                  ? backend->service->AddEngine(spec.info->name,
+                                                *backend->graph, spec.config)
                   : backend->service->AddEngineFromIndex(
-                        info->name, *backend->graph, config, index_path);
+                        spec.info->name, *backend->graph, spec.config,
+                        spec.index_path);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
@@ -1099,7 +991,7 @@ int OpenServeBackend(const Flags& flags, const std::string& manifest_path,
   std::fprintf(stderr,
                "serving %s: n=%u, %zu workers, ready in %.2fs; requests "
                "are \"<source> [k]\"\n",
-               info->name.c_str(), backend->n, service->threads(),
+               spec.info->name.c_str(), backend->n, service->threads(),
                start_timer.Seconds());
   return 0;
 }
@@ -1109,21 +1001,6 @@ int OpenServeBackend(const Flags& flags, const std::string& manifest_path,
 /// service keeps serving. SIGINT/SIGTERM drain and exit 0; a clean EOF
 /// exits 3 if any line failed, 0 otherwise.
 int CmdServe(const Flags& flags) {
-  const std::string manifest_path = flags.Get("manifest", "");
-  const std::string graph_path = flags.Get("graph", "");
-  if (!manifest_path.empty()) {
-    for (const char* conflicting : {"graph", "index", "algo", "params"}) {
-      if (flags.HasValue(conflicting)) {
-        std::fprintf(stderr,
-                     "serve: --manifest is mutually exclusive with --%s\n",
-                     conflicting);
-        return 2;
-      }
-    }
-  } else if (graph_path.empty()) {
-    std::fprintf(stderr, "serve: --graph or --manifest is required\n");
-    return 2;
-  }
   const bool use_stdin = flags.Has("stdin");
   const bool use_listen = flags.HasValue("listen");
   if (use_stdin == use_listen) {
@@ -1153,9 +1030,7 @@ int CmdServe(const Flags& flags) {
   }
 
   ServeBackend backend;
-  if (const int rc =
-          OpenServeBackend(flags, manifest_path, graph_path, &backend);
-      rc != 0) {
+  if (const int rc = OpenServeBackend(flags, &backend); rc != 0) {
     return rc;
   }
   const size_t window = static_cast<size_t>(flags.GetInt("queue", 1024));
@@ -1519,7 +1394,7 @@ int main(int argc, char** argv) {
     return Dispatch(argc, argv,
                     {"graph", "index", "manifest", "source", "sources-file",
                      "eps", "c", "k", "seed", "algo", "params", "j0", "alpha",
-                     "rounds", "threads", "format", "cache-mb"},
+                     "rounds", "threads", "format"},
                     {"paper-constants"}, CmdQuery);
   }
   if (command == "serve") {

@@ -15,7 +15,7 @@
 #include "gen/chung_lu.h"
 #include "ppr/backward_walk.h"
 #include "ppr/reverse_pagerank.h"
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -25,7 +25,7 @@ using namespace prsim;
 
 /// Deterministic full expansion to the target level (the probe cost model).
 uint64_t FullExpansionCost(const Graph& g, NodeId w, uint32_t level) {
-  FlatHashMap<double> cur(64), next(64);
+  FlatHashMap2<double> cur(64), next(64);
   cur[w] = 1.0;
   uint64_t cost = 0;
   const double sqrt_c = std::sqrt(0.6);
@@ -71,7 +71,7 @@ int main() {
     uint64_t vb_ops = 0, simple_ops = 0;
     // Variance of the estimator at the hub's most-reached node: track the
     // estimate of one fixed target v (pick the max-mean node on the fly).
-    FlatHashMap<double> sum(1024), sum_sq(1024);
+    FlatHashMap2<double> sum(1024), sum_sq(1024);
     for (int i = 0; i < runs; ++i) {
       auto vb = walker.RunVarianceBounded(hub, level, rng);
       vb_ops += vb.increments;
@@ -80,7 +80,7 @@ int main() {
         sum_sq[v] += val * val;
       }
     }
-    FlatHashMap<double> ssum(1024), ssum_sq(1024);
+    FlatHashMap2<double> ssum(1024), ssum_sq(1024);
     for (int i = 0; i < runs; ++i) {
       auto simple = walker.RunSimple(hub, level, rng);
       simple_ops += simple.increments;

@@ -15,7 +15,7 @@
 
 #include "gen/chung_lu.h"
 #include "ppr/walker.h"
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -44,7 +44,7 @@ int main() {
 
     // PRSim side: one query's worth of eta*pi samples from one source.
     WallTimer prsim_timer;
-    FlatHashMap<double> eta_pi(1024);
+    FlatHashMap2<double> eta_pi(1024);
     const NodeId source = 17 % n;
     for (uint64_t i = 0; i < samples; ++i) {
       const WalkOutcome walk = walker.SampleWalk(source, rng);

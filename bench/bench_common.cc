@@ -43,8 +43,8 @@ std::string BenchCacheDir() {
 
 /// Cache file for one (graph, engine, params) triple. The artifact format
 /// version is part of the name so a cache directory shared across builds
-/// never hands a v1 artifact to a v2 expectation (or vice versa); the
-/// engine's own fingerprint check re-validates on load, so a hash
+/// never hands a file in another container format to this build's reader;
+/// the engine's own fingerprint check re-validates on load, so a hash
 /// collision degrades to a rebuild, never to a wrong index.
 std::string CachePath(const std::string& dir, uint64_t graph_checksum,
                       const SweepConfig& config) {

@@ -1,7 +1,7 @@
 // Google-benchmark micro suite for the library's hot primitives: walk
 // sampling, meeting tests, backward search/walks, reverse PageRank, CSR
-// construction, the FlatHashMap accumulator vs std::unordered_map, and
-// cold graph artifact loads (v1 sequential parse vs v2 mmap).
+// construction, the FlatHashMap2 accumulator vs std::unordered_map, and
+// cold graph artifact loads (mmap vs read() fallback).
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +18,7 @@
 #include "ppr/reverse_pagerank.h"
 #include "ppr/walker.h"
 #include "util/alias_table.h"
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/rng.h"
 
 namespace {
@@ -109,19 +109,16 @@ void BM_GraphConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphConstruction)->Unit(benchmark::kMillisecond);
 
-/// Cold-load comparison of the two artifact container formats over the
-/// same 100k-node graph. Arg 0 = v1 (sequential parse onto the heap),
-/// 1 = v2 with mmap-backed zero-copy views, 2 = v2 with the read()
-/// fallback. Validation is off for all three so the rows isolate pure
-/// deserialization (checksums still verify on every load).
+/// Cold graph artifact load over a 100k-node graph. Arg 1 = mmap-backed
+/// zero-copy views, 2 = the read() fallback onto the heap. Validation is
+/// off for both so the rows isolate pure deserialization (checksums still
+/// verify on every load).
 void BM_GraphColdLoad(benchmark::State& state) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("prsim_bench_coldload_" + std::to_string(state.range(0)) + ".bin"))
           .string();
-  const bool v1 = state.range(0) == 0;
-  Status saved = v1 ? GraphIO::SaveBinaryV1(BenchGraph(), path)
-                    : GraphIO::SaveBinary(BenchGraph(), path);
+  const Status saved = GraphIO::SaveBinary(BenchGraph(), path);
   if (!saved.ok()) {
     state.SkipWithError(saved.ToString().c_str());
     return;
@@ -140,7 +137,6 @@ void BM_GraphColdLoad(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_GraphColdLoad)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
@@ -148,7 +144,7 @@ BENCHMARK(BM_GraphColdLoad)
 void BM_FlatHashMapAccumulate(benchmark::State& state) {
   Rng rng(6);
   for (auto _ : state) {
-    FlatHashMap<double> map(16);
+    FlatHashMap2<double> map(16);
     for (int i = 0; i < 4096; ++i) {
       map[rng.NextBounded(1024)] += 1.0;
     }

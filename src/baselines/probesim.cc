@@ -20,7 +20,7 @@ ProbeSim::ProbeSim(const Graph& graph, const ProbeSimOptions& options)
 
 void ProbeSim::Probe(NodeId w, uint32_t level,
                      const std::vector<NodeId>& trajectory,
-                     FlatHashMap<double>& scores) {
+                     FlatHashMap2<double>& scores) {
   const double inv_samples = 1.0 / static_cast<double>(samples_);
   cur_.clear();
   cur_[w] = 1.0;
@@ -53,7 +53,7 @@ ScoreList ProbeSim::Query(NodeId u) {
   PRSIM_CHECK(u < graph_.n());
   cost_ = QueryCost{};
   cost_.walks = samples_;
-  FlatHashMap<double> scores(1024);
+  FlatHashMap2<double> scores(1024);
   std::vector<NodeId> trajectory;
   trajectory.reserve(16);
 

@@ -21,7 +21,7 @@
 #include "core/single_source.h"
 #include "graph/graph.h"
 #include "ppr/walker.h"
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/rng.h"
 
 namespace prsim {
@@ -62,7 +62,7 @@ class ProbeSim : public SingleSourceSimRank {
   /// Runs one probe from `w` at trajectory step `level`, accumulating
   /// h_l(v, w) into `scores` with weight 1/samples_.
   void Probe(NodeId w, uint32_t level, const std::vector<NodeId>& trajectory,
-             FlatHashMap<double>& scores);
+             FlatHashMap2<double>& scores);
 
   const Graph& graph_;
   ProbeSimOptions options_;
@@ -70,11 +70,11 @@ class ProbeSim : public SingleSourceSimRank {
   Rng rng_;
   uint64_t samples_;
   double sqrt_c_;
-  // Deliberately the v1 map (see util/flat_hash_map.h): Probe() float-sums
-  // expansion mass while iterating ForEach in slot order, so the map flavor
-  // is part of the output bits.
-  FlatHashMap<double> cur_{64};
-  FlatHashMap<double> next_{64};
+  // Probe scratch, reused across queries. Probe() float-sums expansion mass
+  // while iterating ForEach, whose insertion order does not depend on the
+  // capacity these maps kept from earlier queries.
+  FlatHashMap2<double> cur_{64};
+  FlatHashMap2<double> next_{64};
 };
 
 }  // namespace prsim

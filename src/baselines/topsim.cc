@@ -13,7 +13,7 @@ TopSim::TopSim(const Graph& graph, const TopSimOptions& options)
 }
 
 std::vector<std::pair<NodeId, double>> TopSim::TrimFrontier(
-    const FlatHashMap<double>& frontier) const {
+    const FlatHashMap2<double>& frontier) const {
   std::vector<std::pair<NodeId, double>> entries;
   entries.reserve(frontier.size());
   frontier.ForEach([&](uint64_t key, const double& mass) {
@@ -35,12 +35,12 @@ ScoreList TopSim::Query(NodeId u) {
   PRSIM_CHECK(u < graph_.n());
   cost_ = QueryCost{};  // deterministic truncated enumeration: no sampling
   const double c = options_.c;
-  FlatHashMap<double> scores(1024);
+  FlatHashMap2<double> scores(1024);
 
   // Reverse enumeration: rev[l] = trimmed (w, p(u -> w in l steps)).
   std::vector<std::vector<std::pair<NodeId, double>>> rev(options_.depth + 1);
   rev[0] = {{u, 1.0}};
-  FlatHashMap<double> frontier(256);
+  FlatHashMap2<double> frontier(256);
   for (uint32_t level = 1; level <= options_.depth; ++level) {
     frontier.clear();
     for (const auto& [x, mass] : rev[level - 1]) {
@@ -62,7 +62,7 @@ ScoreList TopSim::Query(NodeId u) {
   }
 
   // Forward scoring: from each (w, l) expand out-edges l levels.
-  FlatHashMap<double> fwd(256), fwd_next(256);
+  FlatHashMap2<double> fwd(256), fwd_next(256);
   for (uint32_t level = 1; level < rev.size(); ++level) {
     const double decay = std::pow(c, static_cast<double>(level));
     for (const auto& [w, p_u] : rev[level]) {

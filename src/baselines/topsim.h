@@ -23,7 +23,7 @@
 
 #include "core/single_source.h"
 #include "graph/graph.h"
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/rng.h"
 
 namespace prsim {
@@ -60,11 +60,10 @@ class TopSim : public SingleSourceSimRank {
 
  private:
   /// Keeps the `width` heaviest entries of a frontier map, dropping the
-  /// rest. Deliberately on the v1 map (see util/flat_hash_map.h): the
-  /// nth_element width cut breaks mass ties by ForEach slot order, so the
-  /// map flavor is part of TopSim's output bits.
+  /// rest. The nth_element width cut breaks mass ties by the map's
+  /// insertion order.
   std::vector<std::pair<NodeId, double>> TrimFrontier(
-      const FlatHashMap<double>& frontier) const;
+      const FlatHashMap2<double>& frontier) const;
 
   const Graph& graph_;
   TopSimOptions options_;

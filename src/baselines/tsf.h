@@ -51,14 +51,16 @@ class Tsf : public SingleSourceSimRank {
   Status SaveIndex(const std::string& path) const override;
   Status LoadIndex(const std::string& path) override;
 
-  /// The clone shares the immutable one-way-graph index in O(1) and reseeds
-  /// the query-time walk sampler (query scratch is rebuilt per query).
+  /// The clone shares the immutable one-way-graph index in O(1) and starts
+  /// the query stream for `seed`, so its first query matches Reseed(seed)
+  /// on any instance (query scratch is rebuilt per query).
   std::unique_ptr<SingleSourceSimRank> CloneWithSeed(
       uint64_t seed) const override {
     TsfOptions options = options_;
     options.seed = seed;
     auto clone = std::make_unique<Tsf>(graph_, options);
     clone->parents_ = parents_;
+    clone->StartQueryStream();
     return clone;
   }
   uint64_t seed() const override { return options_.seed; }

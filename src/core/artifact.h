@@ -3,7 +3,7 @@
 // An index artifact is only valid against the exact (graph, options) pair it
 // was built from. Pairing a stale index with a different graph — or the same
 // graph under different build options — silently skews every estimate, so
-// each artifact embeds a fingerprint right after the serde envelope header:
+// each artifact embeds a fingerprint in its "fingerprint" section:
 //
 //   n, m            — node and edge counts of the build graph;
 //   graph_checksum  — FNV-1a over the CSR arrays, so two different graphs
@@ -29,9 +29,9 @@
 
 namespace prsim {
 
-/// Format version shared by all engine index artifacts. Version 2 is the
-/// sectioned, mmap-ready serde container (ArtifactWriter/ArtifactReader);
-/// version-1 artifacts remain loadable through the reader's compat shim.
+/// Format version shared by all engine index artifacts: the sectioned,
+/// mmap-ready serde container (ArtifactWriter/ArtifactReader), the only
+/// version ArtifactReader opens.
 inline constexpr uint32_t kArtifactVersion = 2;
 
 struct ArtifactFingerprint {

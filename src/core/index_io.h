@@ -1,13 +1,14 @@
 // Binary persistence for the PRSim hub index.
 //
 // Preprocessing costs O(m/eps); persisting the finished index lets a serving
-// process skip it entirely. The artifact rides on the shared serde envelope
-// (magic + version + kind + checksum trailer) and embeds the full
-// ArtifactFingerprint: n, m, a graph checksum, and a hash of every
-// index-shaping option (c, eps, j0, rmax, max_level). Loading validates the
-// fingerprint against the graph and options the caller supplies, so a stale
-// index can no longer be paired silently with a different graph of the same
-// size or with different build parameters.
+// process skip it entirely. The artifact is a serde container (util/serde.h)
+// with two checksummed sections: "fingerprint", the full
+// ArtifactFingerprint (n, m, a graph checksum, and a hash of every
+// index-shaping option: c, eps, j0, rmax, max_level), and "index", the
+// reverse PageRank vector plus each hub's per-level reserve lists. Loading
+// validates the fingerprint against the graph and options the caller
+// supplies, so a stale index can no longer be paired silently with a
+// different graph of the same size or with different build parameters.
 
 #ifndef PRSIM_CORE_INDEX_IO_H_
 #define PRSIM_CORE_INDEX_IO_H_

@@ -93,13 +93,8 @@ std::vector<EvalMetrics> RunPooledEvaluation(
 
     // Phase 3: per-algorithm metrics against V_k.
     //
-    // The error sum accumulates in vk's ForEach order, which for
-    // FlatHashMap2 is insertion order (here: descending true score) —
-    // deterministic, but a different float-summation order than the v1
-    // slot order pre-migration runs used, so avg_error_at_k can differ
-    // from old recorded values at ULP scale. Eval metrics are
-    // tolerance-checked, never bit-compared; query-path bit-identity is
-    // unaffected (hot paths iterate via OrderedSlot key vectors).
+    // The error sum accumulates in vk's ForEach order, which is insertion
+    // order (here: descending true score), so it is deterministic.
     for (size_t a = 0; a < algos; ++a) {
       if (!answered[a]) continue;
       double error = 0.0;

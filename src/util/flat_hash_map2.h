@@ -1,47 +1,40 @@
-// FlatHashMap2 — cache-aware open-addressing hash map keyed by 64-bit
-// integers (the v2 of util/flat_hash_map.h, which remains for consumers
-// whose output bits depend on v1's slot iteration order).
-//
-// Microarchitectural differences from v1, in the order they matter on the
-// query hot paths:
+// FlatHashMap2 — the library's open-addressing hash map keyed by 64-bit
+// integers, used by every accumulator, walk frontier, index lookup and
+// workspace. Design points, in the order they matter on the query hot
+// paths:
 //
 //  * SwissTable-style split metadata: a separate 1-byte-per-slot control
 //    array scanned in 16-slot groups. One probe step inspects 16 candidate
 //    slots by touching a single metadata cache line; the 16-byte key/value
 //    slot line is only loaded for slots whose 7-bit hash fragment matches.
-//    v1 probes the full {key, value} array linearly, pulling one 16-byte
-//    line per inspected slot.
-//  * wyhash-style mixer: one 64x64->128 multiply with xor-folding replaces
-//    v1's three-multiply splitmix finalizer, and is a stronger mix for the
-//    clustered key shapes we feed it (dense node ids, PackNodeLevel pairs).
+//  * wyhash-style mixer: one 64x64->128 multiply with xor-folding, a strong
+//    mix for the clustered key shapes we feed it (dense node ids,
+//    PackNodeLevel pairs) at the cost of a single multiply.
 //  * O(size) clear() via an occupied-slot journal: clear() resets only the
-//    control bytes the map actually used (or memsets the control array when
-//    the map is dense — still 16x fewer bytes than v1's full slot wipe).
-//    This is the dominant per-query cost v1 pays when a pooled workspace
-//    retains a large capacity but a query touches few nodes: v1 clear() is
-//    O(capacity) over the slot array.
+//    control bytes the map actually used (or memsets the 1-byte control
+//    array when the map is dense). Pooled query workspaces retain a large
+//    capacity while most queries touch few nodes, so an O(capacity) wipe
+//    would dominate their per-query cost.
 //  * ForEach/ToVector iterate the journal, i.e. in INSERTION order, in
 //    O(size). Iteration order is therefore a pure function of the operation
-//    sequence — never of the capacity retained from earlier reuse — which
-//    upgrades the OrderedSlot discipline from "callers must keep their own
-//    key vector" to a property of the container. (Callers on the query hot
-//    paths still keep their key vectors; the contract is identical.)
+//    sequence — never of the capacity retained from earlier reuse — so a
+//    pass that float-sums, breaks ties, or emits output while iterating the
+//    map gives the same bits on a warmed workspace as on a fresh one.
+//    (Callers on the PRSim hot paths also keep their own key vectors via
+//    OrderedSlot; the contract is identical.)
 //
-// Same restrictions as v1, minus the sentinel: any uint64_t key is
-// insertable (presence lives in the control byte, not the key), erase is
-// not supported, and values must be default-constructible and trivially
-// copyable (slots live in a raw arena, with the journal and control bytes
-// fused into a second small block — two allocations per table, see
-// Allocate for why the slot block stays separate). Growth is two-regime
-// but always a
-// deterministic pure function of the insert count: small tables (<= 1024
-// slots, minimum 64 — one cache line of control bytes) grow 4x at 1/2
-// load — a few KB of L1-resident scratch traded for ~4x fewer rehash moves
-// and near-zero probe collisions, which is what makes v2 beat v1's
-// low-load linear probing even on tiny tables — while large tables grow 2x
-// at 3/4 load (matching v1's rehash-move count; the metadata scan wins at
-// equal load). Reserve() and capacity() semantics match v1 so
-// workspace-reuse growth decisions stay deterministic.
+// Restrictions: any uint64_t key is insertable (presence lives in the
+// control byte, not the key), erase is not supported (none of our
+// algorithms delete entries), and values must be default-constructible and
+// trivially copyable (slots live in a raw arena, with the journal and
+// control bytes fused into a second small block — two allocations per
+// table, see Allocate for why the slot block stays separate). Growth is
+// two-regime but always a deterministic pure function of the insert count:
+// small tables (<= 1024 slots, minimum 64 — one cache line of control
+// bytes) grow 4x at 1/2 load — a few KB of L1-resident scratch traded for
+// ~4x fewer rehash moves and near-zero probe collisions — while large
+// tables grow 2x at 3/4 load. Reserve() lets paired scratch maps equalize
+// their capacities so workspace-reuse growth decisions stay deterministic.
 
 #ifndef PRSIM_UTIL_FLAT_HASH_MAP2_H_
 #define PRSIM_UTIL_FLAT_HASH_MAP2_H_
@@ -58,10 +51,15 @@
 #include <emmintrin.h>
 #endif
 
-#include "util/flat_hash_map.h"  // OrderedSlot, PackNodeLevel, kMaxMapCapacity
 #include "util/logging.h"
 
 namespace prsim {
+
+/// Hard ceiling on a map's slot count: 2^31 slots. Far above any reachable
+/// workspace size, low enough that the power-of-two doubling loops can never
+/// wrap or spin on a huge (or corrupted) requested capacity, and it keeps
+/// the 32-bit occupied-slot journal indices exact.
+inline constexpr size_t kMaxMapCapacity = size_t{1} << 31;
 
 template <typename V>
 class FlatHashMap2 {
@@ -92,7 +90,7 @@ class FlatHashMap2 {
   bool empty() const { return size_ == 0; }
 
   /// Empties the map while KEEPING capacity (the pooled-workspace reuse
-  /// contract, same as v1). Cost is O(size): only the control bytes named
+  /// contract: steady-state reuse never reallocates). Cost is O(size): only the control bytes named
   /// by the occupied-slot journal are reset — or, when the map is dense,
   /// one memset of the 1-byte-per-slot control array. Free when empty.
   void clear() {
@@ -194,8 +192,8 @@ class FlatHashMap2 {
   size_t capacity() const { return capacity_; }
 
   /// Ensures capacity() >= slot_count (rounded up to a power of two),
-  /// rehashing current entries — v1 semantics, so paired scratch maps can
-  /// equalize retained capacities (see BackwardWalker::ResetScratch).
+  /// rehashing current entries, so paired scratch maps can equalize
+  /// retained capacities (see BackwardWalker::ResetScratch).
   void Reserve(size_t slot_count) {
     PRSIM_CHECK(slot_count <= kMaxMapCapacity)
         << "FlatHashMap2::Reserve: requested capacity " << slot_count
@@ -295,7 +293,7 @@ class FlatHashMap2 {
 #if defined(__SSE2__)
   // x86-64 path: one 16-byte group compare is two instructions after the
   // per-probe broadcast (cmpeq, movemask) — this is what makes the metadata
-  // scan cheaper than v1's slot probing even when everything is in L1. The
+  // scan cheaper than linear slot probing even when everything is in L1. The
   // H2 broadcast is hoisted out of the probe loop by the callers.
   using H2Pattern = __m128i;
   /// A control group's 16 bytes, loaded ONCE per probe step and shared by
@@ -435,12 +433,11 @@ class FlatHashMap2 {
   /// Two blocks per table: the slot array alone, and [journal | ctrl]
   /// fused. Fusing the two small arrays halves allocator traffic on a
   /// growth chain; the slot array stays SEPARATE deliberately, so its
-  /// allocation size is byte-identical to v1's slot vector at equal
-  /// capacity and the allocator treats both maps the same. (Fused, the big
-  /// block crosses glibc's dynamic-mmap-threshold ceiling ~8 doublings
-  /// earlier than v1's, and past it every fresh build pays ~10k page
-  /// faults v1 stopped paying — a systematic skew the microbench measured
-  /// as a v2 insert regression at the 1e6 cell.) The journal leads the aux
+  /// allocation is exactly capacity * sizeof(Slot). (Fused, the big block
+  /// crosses glibc's dynamic-mmap-threshold ceiling several doublings
+  /// earlier, and past it every fresh build pays ~10k page faults — the
+  /// microbench measured that as an insert regression at the 1e6 cell.)
+  /// The journal leads the aux
   /// block (uint32_t alignment), the byte-granular control array trails.
   /// Only the control bytes are initialized — slot payloads are written
   /// before they are ever read, and the journal's live prefix is exactly
@@ -450,8 +447,8 @@ class FlatHashMap2 {
     group_mask_ = cap / kGroupWidth - 1;
     // Grow when the NEXT insert would exceed the regime's load limit —
     // precomputed so the insert path's growth check is one compare. The
-    // large-regime limit matches v1's 3/4 trigger: pushing it to the
-    // SwissTable-classic 7/8 would save memory but do ~17% more total
+    // large regime grows at 3/4 load: pushing it to the SwissTable-classic
+    // 7/8 would save memory but do ~17% more total
     // rehash moves over a growth chain, and bulk insert at DRAM-resident
     // sizes is rehash-bound.
     growth_threshold_ = cap <= kSmallCapacity ? cap / 2 : cap / 4 * 3;
@@ -533,7 +530,7 @@ class FlatHashMap2 {
     other.size_ = 0;
   }
 
-  std::unique_ptr<char[]> slot_arena_;  ///< slot array (sized like v1's)
+  std::unique_ptr<char[]> slot_arena_;  ///< slot array
   std::unique_ptr<char[]> aux_arena_;   ///< [journal | ctrl], fused
   uint8_t* ctrl_ = nullptr;        ///< 1 byte per slot: kEmpty or 7-bit H2
   Slot* slots_ = nullptr;          ///< payload; valid only where ctrl is full
@@ -543,6 +540,38 @@ class FlatHashMap2 {
   size_t growth_threshold_ = 0;    ///< rehash when size_ would exceed this
   size_t size_ = 0;
 };
+
+/// Returns the value slot for `key`, appending first-seen keys to `keys`.
+/// The insertion-order companion of operator[], for accumulators that keep
+/// a caller-held key vector alongside the map (to merge, sort or re-walk
+/// the keys without touching the map).
+template <typename V, typename KeyVector>
+V& OrderedSlot(FlatHashMap2<V>& map, KeyVector& keys, uint64_t key) {
+  const size_t before = map.size();
+  V& slot = map[key];
+  if (map.size() != before) {
+    keys.push_back(static_cast<typename KeyVector::value_type>(key));
+  }
+  return slot;
+}
+
+/// Maximum packable level (exclusive): levels occupy bits 32..55 only, so a
+/// packed key always has its top byte clear.
+inline constexpr uint32_t kPackNodeLevelCap = 1u << 24;
+
+/// Packs a (node, level) pair into one map key. Levels are capped at 2^24,
+/// enforced below (sqrt(c)-walk depths are geometric; level 64 already has
+/// probability < 1e-7 for c = 0.8, so real levels sit far under the cap).
+inline uint64_t PackNodeLevel(uint32_t node, uint32_t level) {
+  PRSIM_DCHECK_LT(level, kPackNodeLevelCap);
+  return (static_cast<uint64_t>(level) << 32) | node;
+}
+inline uint32_t UnpackNode(uint64_t key) {
+  return static_cast<uint32_t>(key & 0xffffffffULL);
+}
+inline uint32_t UnpackLevel(uint64_t key) {
+  return static_cast<uint32_t>(key >> 32);
+}
 
 }  // namespace prsim
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <system_error>
 
 #include "util/fault_injection.h"
@@ -14,7 +15,10 @@ namespace prsim {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'R', 'S', 'I', 'M', 'A', 'R', 'T'};
-constexpr uint64_t kTrailerBytes = sizeof(uint64_t);
+/// Smallest well-formed artifact: magic, version, empty kind, section
+/// count, header checksum.
+constexpr uint64_t kMinArtifactBytes =
+    sizeof(kMagic) + 3 * sizeof(uint32_t) + sizeof(uint64_t);
 /// Cap enforced symmetrically by WriteString and ReadString.
 constexpr uint32_t kMaxStringLength = 256;
 
@@ -25,161 +29,6 @@ std::string UniqueTmpPath(const std::string& path) {
   return path + ".tmp." + std::to_string(::getpid()) + "." +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
-
-}  // namespace
-
-BinaryWriter::BinaryWriter(const std::string& path, const std::string& kind,
-                           uint32_t version)
-    : path_(path), tmp_path_(UniqueTmpPath(path)) {
-  out_.open(tmp_path_, std::ios::binary);
-  if (!out_) {
-    status_ = Status::IOError("cannot open '" + path + "' for writing");
-    return;
-  }
-  Append(kMagic, sizeof(kMagic));
-  WritePod<uint32_t>(version);
-  WriteString(kind);
-}
-
-BinaryWriter::~BinaryWriter() {
-  if (!finished_) {
-    // Abandoned or failed write: drop the temporary, leaving any previous
-    // artifact at path_ untouched.
-    out_.close();
-    std::error_code ec;
-    std::filesystem::remove(tmp_path_, ec);
-  }
-}
-
-void BinaryWriter::Append(const void* data, size_t len) {
-  if (!status_.ok() || len == 0) return;
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(len));
-  if (!out_) {
-    status_ = Status::IOError("write failure on '" + path_ + "'");
-    return;
-  }
-  checksum_.Update(data, len);
-}
-
-void BinaryWriter::WriteString(const std::string& s) {
-  if (status_.ok() && s.size() > kMaxStringLength) {
-    status_ = Status::InvalidArgument(
-        "string of " + std::to_string(s.size()) +
-        " bytes exceeds the artifact string cap of " +
-        std::to_string(kMaxStringLength));
-    return;
-  }
-  WritePod<uint32_t>(static_cast<uint32_t>(s.size()));
-  Append(s.data(), s.size());
-}
-
-Status BinaryWriter::Finish() {
-  if (status_.ok() && !finished_) {
-    const uint64_t digest = checksum_.digest();
-    out_.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-    out_.close();
-    if (!out_) {
-      status_ = Status::IOError("write failure on '" + path_ + "'");
-    } else {
-      std::error_code ec;
-      std::filesystem::rename(tmp_path_, path_, ec);
-      if (ec) {
-        status_ = Status::IOError("cannot move temporary into '" + path_ +
-                                  "': " + ec.message());
-      } else {
-        finished_ = true;
-      }
-    }
-  }
-  return status_;
-}
-
-BinaryReader::BinaryReader(const std::string& path, const std::string& kind,
-                           uint32_t version)
-    : in_(path, std::ios::binary), path_(path) {
-  if (!in_) {
-    status_ = Status::IOError("cannot open '" + path + "' for reading");
-    return;
-  }
-  in_.seekg(0, std::ios::end);
-  const auto file_size = static_cast<uint64_t>(in_.tellg());
-  in_.seekg(0, std::ios::beg);
-  // Smallest well-formed artifact: magic + version + empty kind + trailer.
-  if (file_size < sizeof(kMagic) + sizeof(uint32_t) * 2 + kTrailerBytes) {
-    status_ = Status::IOError("'" + path + "' is too short to be an artifact");
-    return;
-  }
-  payload_end_ = file_size - kTrailerBytes;
-
-  char magic[sizeof(kMagic)];
-  if (Status st = Consume(magic, sizeof(magic)); !st.ok()) return;
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    status_ = Status::IOError("'" + path + "' is not a prsim artifact");
-    return;
-  }
-  uint32_t stored_version = 0;
-  if (Status st = ReadPod(&stored_version); !st.ok()) return;
-  if (stored_version != version) {
-    status_ = Status::IOError(
-        "'" + path + "' has artifact version " +
-        std::to_string(stored_version) + "; this build reads version " +
-        std::to_string(version));
-    return;
-  }
-  std::string stored_kind;
-  if (Status st = ReadString(&stored_kind); !st.ok()) return;
-  if (stored_kind != kind) {
-    status_ = Status::IOError("'" + path + "' holds a '" + stored_kind +
-                              "' artifact, expected '" + kind + "'");
-  }
-}
-
-Status BinaryReader::Consume(void* dst, size_t len) {
-  if (!status_.ok()) return status_;
-  if (len == 0) return Status::OK();
-  if (len > remaining()) {
-    return Corrupt("truncated (wanted " + std::to_string(len) +
-                   " bytes, have " + std::to_string(remaining()) + ")");
-  }
-  in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(len));
-  if (!in_) return Corrupt("read failure");
-  checksum_.Update(dst, len);
-  pos_ += len;
-  return Status::OK();
-}
-
-Status BinaryReader::ReadString(std::string* out) {
-  uint32_t len = 0;
-  PRSIM_RETURN_NOT_OK(ReadPod(&len));
-  if (len > kMaxStringLength || len > remaining()) {
-    return Corrupt("string length " + std::to_string(len) + " out of range");
-  }
-  out->resize(len);
-  return Consume(out->data(), len);
-}
-
-Status BinaryReader::Finish() {
-  if (!status_.ok()) return status_;
-  if (pos_ != payload_end_) {
-    return Corrupt(std::to_string(payload_end_ - pos_) +
-                   " unread payload bytes before the checksum trailer");
-  }
-  uint64_t stored = 0;
-  in_.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (!in_) return Corrupt("missing checksum trailer");
-  if (stored != checksum_.digest()) {
-    return Corrupt("checksum mismatch (file corrupt)");
-  }
-  return Status::OK();
-}
-
-Status BinaryReader::Corrupt(const std::string& what) {
-  status_ = Status::IOError("corrupt artifact '" + path_ + "': " + what);
-  return status_;
-}
-
-namespace {
 
 /// Sections start on cache-line boundaries so element data after a u64
 /// count prefix stays 8-byte aligned for zero-copy views.
@@ -321,8 +170,8 @@ Status SectionReader::Consume(void* dst, size_t len) {
     return Corrupt("truncated (wanted " + std::to_string(len) +
                    " bytes, have " + std::to_string(remaining()) + ")");
   }
-  std::memcpy(dst, data_.data() + *pos_, len);
-  *pos_ += len;
+  std::memcpy(dst, data_.data() + pos_, len);
+  pos_ += len;
   return Status::OK();
 }
 
@@ -337,8 +186,8 @@ Status SectionReader::ReadString(std::string* out) {
 }
 
 Status SectionReader::Finish() {
-  if (*pos_ != data_.size()) {
-    return Corrupt(std::to_string(data_.size() - *pos_) +
+  if (pos_ != data_.size()) {
+    return Corrupt(std::to_string(data_.size() - pos_) +
                    " unread bytes at the end of the section");
   }
   return Status::OK();
@@ -360,12 +209,9 @@ Result<ArtifactReader> ArtifactReader::Open(const std::string& path,
                                    what);
   };
 
-  // Envelope prefix, common to both formats. A shared cursor bounds the
-  // header reads; v1 reuses it afterwards as the payload cursor.
-  auto cursor = std::make_shared<size_t>(0);
-  SectionReader header(path, {base, static_cast<size_t>(size)}, cursor,
-                       nullptr);
-  if (size < sizeof(kMagic) + sizeof(uint32_t) * 2 + kTrailerBytes) {
+  // A reader over the whole file bounds the header reads.
+  SectionReader header(path, {base, static_cast<size_t>(size)}, nullptr);
+  if (size < kMinArtifactBytes) {
     return Status::IOError("'" + path + "' is too short to be an artifact");
   }
   char magic[sizeof(kMagic)];
@@ -375,11 +221,10 @@ Result<ArtifactReader> ArtifactReader::Open(const std::string& path,
   }
   uint32_t stored_version = 0;
   PRSIM_RETURN_NOT_OK(header.ReadPod(&stored_version));
-  if (stored_version != kSerdeFormatV1 && stored_version != kSerdeFormatV2) {
+  if (stored_version != kSerdeFormatV2) {
     return Status::IOError(
         "'" + path + "' has artifact version " +
-        std::to_string(stored_version) + "; this build reads versions " +
-        std::to_string(kSerdeFormatV1) + " and " +
+        std::to_string(stored_version) + "; this build reads version " +
         std::to_string(kSerdeFormatV2));
   }
   std::string stored_kind;
@@ -394,27 +239,7 @@ Result<ArtifactReader> ArtifactReader::Open(const std::string& path,
   ArtifactReader reader;
   reader.file_ = std::move(file);
   reader.path_ = path;
-  reader.version_ = stored_version;
   reader.verify_checksums_ = options.verify_checksums;
-
-  if (stored_version == kSerdeFormatV1) {
-    // Legacy layout: [envelope][payload][u64 checksum over all but itself].
-    reader.v1_payload_begin_ = *cursor;
-    reader.v1_payload_end_ = size - kTrailerBytes;
-    if (reader.v1_payload_end_ < reader.v1_payload_begin_) {
-      return corrupt("payload overlaps the checksum trailer");
-    }
-    if (options.verify_checksums) {
-      uint64_t stored_checksum = 0;
-      std::memcpy(&stored_checksum, base + reader.v1_payload_end_,
-                  sizeof(stored_checksum));
-      if (HashBytes(base, reader.v1_payload_end_) != stored_checksum) {
-        return corrupt("checksum mismatch (file corrupt)");
-      }
-    }
-    reader.v1_cursor_ = std::make_shared<size_t>(0);
-    return reader;
-  }
 
   uint32_t section_count = 0;
   if (!header.ReadPod(&section_count).ok() || section_count > kMaxSections) {
@@ -440,7 +265,7 @@ Result<ArtifactReader> ArtifactReader::Open(const std::string& path,
     }
     reader.sections_.push_back(std::move(info));
   }
-  const uint64_t table_end = *cursor;
+  const uint64_t table_end = size - header.remaining();
   uint64_t stored_header_checksum = 0;
   PRSIM_RETURN_NOT_OK(header.ReadPod(&stored_header_checksum));
   if (options.verify_checksums &&
@@ -458,14 +283,6 @@ Result<SectionReader> ArtifactReader::Section(const std::string& name) const {
     return InjectedFault("artifact.section.err");
   }
   const std::byte* base = file_->data();
-  if (version_ == kSerdeFormatV1) {
-    // Shared cursor over the legacy payload: sections are positional.
-    return SectionReader(
-        path_,
-        {base + v1_payload_begin_,
-         static_cast<size_t>(v1_payload_end_ - v1_payload_begin_)},
-        v1_cursor_, file_);
-  }
   for (const SectionInfo& info : sections_) {
     if (info.name != name) continue;
     if (verify_checksums_ &&
@@ -474,10 +291,8 @@ Result<SectionReader> ArtifactReader::Section(const std::string& name) const {
                                      "': section '" + name +
                                      "' checksum mismatch");
     }
-    return SectionReader(path_,
-                         {base + info.offset,
-                          static_cast<size_t>(info.length)},
-                         std::make_shared<size_t>(0), file_);
+    return SectionReader(
+        path_, {base + info.offset, static_cast<size_t>(info.length)}, file_);
   }
   return Status::InvalidArgument("corrupt artifact '" + path_ +
                                  "': missing section '" + name + "'");

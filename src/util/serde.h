@@ -3,24 +3,11 @@
 // Every persistent artifact in the library (graph snapshots, engine indexes,
 // shard manifests, bench caches) shares one magic + kind discipline so
 // corruption, format drift, and stale files all fail with a clean Status
-// instead of crashing or silently loading garbage. Two container layouts
-// share the envelope:
+// instead of crashing or silently loading garbage. The container holds
+// named, 64-byte-aligned sections behind a table in the header, built for
+// mmap'd serving (cold start is a map, not a parse):
 //
-// Format v1 — a single sequential payload with a checksum trailer:
-//
-//   [8-byte magic "PRSIMART"] [u32 version] [kind string] [payload...] [u64 checksum]
-//
-// BinaryWriter streams the envelope and maintains a running FNV-1a checksum
-// over everything it writes; Finish() appends the digest as a trailer.
-// BinaryReader validates magic/version/kind up front, bounds every read
-// against the actual file size (a hostile length prefix cannot trigger a
-// multi-gigabyte allocation), and Finish() recomputes the checksum and
-// requires the payload to end exactly at the trailer.
-//
-// Format v2 — named, 64-byte-aligned sections behind a table in the header,
-// built for mmap'd serving (cold start is a map, not a parse):
-//
-//   [magic] [u32 version = 2] [kind string] [u32 section count]
+//   [8-byte magic "PRSIMART"] [u32 version = 2] [kind string] [u32 section count]
 //   [per section: name string, u64 offset, u64 length, u64 checksum]
 //   [u64 header checksum] [padding] [section 0] [padding] [section 1] ...
 //
@@ -29,9 +16,11 @@
 // elements keeps those elements 8-byte aligned and a reader can hand out
 // zero-copy PodArray views straight into the mapping. Each section carries
 // its own FNV-1a checksum, and the header carries one over the table, so a
-// flipped byte anywhere is still caught. ArtifactWriter/ArtifactReader are
-// the v2 entry points; ArtifactReader also opens v1 files, presenting the
-// sequential payload as shared-cursor sections so one load path reads both.
+// flipped byte anywhere is still caught. ArtifactWriter fills sections
+// through ByteSinks; ArtifactReader validates the envelope and table up
+// front and hands out SectionReaders that bound every read against the
+// section (a hostile length prefix cannot trigger a multi-gigabyte
+// allocation). A file of any other container version fails to open.
 //
 // Values are written in host byte order (the library targets little-endian
 // x86-64/aarch64); vectors are length-prefixed with a u64 element count.
@@ -41,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -95,142 +83,8 @@ struct IsSerdePod<std::pair<A, B>>
 
 }  // namespace serde_internal
 
-/// \brief Streams one artifact to disk. Errors are sticky: after the first
-/// failure every write is a no-op and Finish() returns the original error.
-///
-/// Writes go to a process-unique temporary file next to `path`; Finish()
-/// renames it into place, so a failed or interrupted save never destroys a
-/// previously valid artifact, and concurrent writers of the same path leave
-/// one winner instead of a torn file.
-class BinaryWriter {
- public:
-  /// Opens a temporary next to `path` and writes the envelope header
-  /// (magic, `version`, `kind`).
-  BinaryWriter(const std::string& path, const std::string& kind,
-               uint32_t version);
-  ~BinaryWriter();
-
-  template <typename T>
-  void WritePod(const T& value) {
-    static_assert(serde_internal::IsSerdePod<T>::value,
-                  "WritePod requires a byte-copyable type");
-    Append(&value, sizeof(T));
-  }
-
-  /// Length-prefixed (u32) byte string; strings over 256 bytes are a
-  /// sticky error (the reader enforces the same cap).
-  void WriteString(const std::string& s);
-
-  /// Length-prefixed (u64 element count) vector of byte-copyable elements.
-  template <typename T>
-  void WriteVector(const std::vector<T>& v) {
-    static_assert(serde_internal::IsSerdePod<T>::value,
-                  "WriteVector requires byte-copyable elements");
-    WritePod<uint64_t>(v.size());
-    Append(v.data(), v.size() * sizeof(T));
-  }
-  template <typename T>
-  void WriteVector(std::span<const T> v) {
-    static_assert(serde_internal::IsSerdePod<T>::value,
-                  "WriteVector requires byte-copyable elements");
-    WritePod<uint64_t>(v.size());
-    Append(v.data(), v.size() * sizeof(T));
-  }
-
-  /// Raw elements with no length prefix. Pair with an explicit
-  /// WritePod<uint64_t> total so a table scattered across many buckets can
-  /// stream out piecewise — producing bytes identical to one WriteVector of
-  /// the concatenation — without materializing that concatenation.
-  template <typename T>
-  void WriteElements(const T* data, size_t count) {
-    static_assert(serde_internal::IsSerdePod<T>::value,
-                  "WriteElements requires byte-copyable elements");
-    Append(data, count * sizeof(T));
-  }
-
-  /// Appends the checksum trailer, renames the temporary onto the target
-  /// path, and returns the sticky status.
-  Status Finish();
-
-  const Status& status() const { return status_; }
-
- private:
-  void Append(const void* data, size_t len);
-
-  std::ofstream out_;
-  std::string path_;
-  std::string tmp_path_;
-  Fnv64 checksum_;
-  Status status_;
-  bool finished_ = false;
-};
-
-/// \brief Reads one artifact. The constructor validates the envelope header;
-/// check status() before the first read. Errors are sticky.
-class BinaryReader {
- public:
-  /// Opens `path` and validates magic, `version`, and `kind`.
-  BinaryReader(const std::string& path, const std::string& kind,
-               uint32_t version);
-
-  template <typename T>
-  Status ReadPod(T* out) {
-    static_assert(serde_internal::IsSerdePod<T>::value,
-                  "ReadPod requires a byte-copyable type");
-    return Consume(out, sizeof(T));
-  }
-
-  Status ReadString(std::string* out);
-
-  template <typename T>
-  Status ReadVector(std::vector<T>* out) {
-    static_assert(serde_internal::IsSerdePod<T>::value,
-                  "ReadVector requires byte-copyable elements");
-    uint64_t count = 0;
-    PRSIM_RETURN_NOT_OK(ReadPod(&count));
-    if (count > remaining() / sizeof(T)) {
-      return Corrupt("vector of " + std::to_string(count) +
-                     " elements exceeds the bytes left in the file");
-    }
-    out->resize(static_cast<size_t>(count));
-    return Consume(out->data(), static_cast<size_t>(count) * sizeof(T));
-  }
-
-  /// Mirror of WriteElements: reads `count` raw elements into `dst`.
-  template <typename T>
-  Status ReadElements(T* dst, size_t count) {
-    static_assert(serde_internal::IsSerdePod<T>::value,
-                  "ReadElements requires byte-copyable elements");
-    if (count > remaining() / sizeof(T)) {
-      return Corrupt(std::to_string(count) +
-                     " elements exceed the bytes left in the file");
-    }
-    return Consume(dst, count * sizeof(T));
-  }
-
-  /// Payload bytes left before the checksum trailer.
-  uint64_t remaining() const { return payload_end_ - pos_; }
-
-  /// Requires the payload to be fully consumed, then verifies the checksum
-  /// trailer against the running digest.
-  Status Finish();
-
-  const Status& status() const { return status_; }
-
- private:
-  Status Consume(void* dst, size_t len);
-  Status Corrupt(const std::string& what);
-
-  std::ifstream in_;
-  std::string path_;
-  uint64_t payload_end_ = 0;
-  uint64_t pos_ = 0;
-  Fnv64 checksum_;
-  Status status_;
-};
-
-/// Container format versions ArtifactReader understands.
-inline constexpr uint32_t kSerdeFormatV1 = 1;
+/// The container format version ArtifactWriter writes and ArtifactReader
+/// opens.
 inline constexpr uint32_t kSerdeFormatV2 = 2;
 
 /// One entry of a format-v2 section table.
@@ -241,9 +95,8 @@ struct SectionInfo {
   uint64_t checksum = 0;  ///< FNV-1a over the section bytes
 };
 
-/// \brief In-memory section buffer with BinaryWriter's exact write API, so
-/// serialization bodies move between the two formats unchanged. Errors are
-/// sticky and surface through the owning ArtifactWriter's Finish().
+/// \brief In-memory section buffer. Errors are sticky and surface through
+/// the owning ArtifactWriter's Finish().
 class ByteSink {
  public:
   template <typename T>
@@ -272,7 +125,10 @@ class ByteSink {
     Append(v.data(), v.size() * sizeof(T));
   }
 
-  /// Raw elements with no length prefix; see BinaryWriter::WriteElements.
+  /// Raw elements with no length prefix. Pair with an explicit
+  /// WritePod<uint64_t> total so a table scattered across many buckets can
+  /// stream out piecewise — producing bytes identical to one WriteVector of
+  /// the concatenation — without materializing that concatenation.
   template <typename T>
   void WriteElements(const T* data, size_t count) {
     static_assert(serde_internal::IsSerdePod<T>::value,
@@ -292,9 +148,12 @@ class ByteSink {
 
 /// \brief Streams one format-v2 artifact: named sections are filled through
 /// ByteSinks, then Finish() lays them out 64-byte aligned behind the section
-/// table and renames a temporary into place (same crash-safety contract as
-/// BinaryWriter). Section order is the AddSection order, so identical
-/// content always produces a byte-identical file.
+/// table. Finish() writes a process-unique temporary next to the target and
+/// renames it into place, so a failed, abandoned or interrupted save never
+/// destroys a previously valid artifact, and concurrent writers of the same
+/// path leave one winner instead of a torn file. Section order is the
+/// AddSection order, so identical content always produces a byte-identical
+/// file.
 class ArtifactWriter {
  public:
   ArtifactWriter(const std::string& path, const std::string& kind);
@@ -318,15 +177,10 @@ class ArtifactWriter {
   bool finished_ = false;
 };
 
-/// \brief Sequential reader over one section of an opened artifact, with
-/// BinaryReader's exact read API. Bounds every read against the section
-/// length; Finish() requires the section to be fully consumed. Checksums
-/// are validated by ArtifactReader before a SectionReader exists, so reads
-/// are pure cursor movement.
-///
-/// Over a v1 artifact all SectionReaders share one cursor spanning the
-/// legacy payload, so a load path that reads sections in their v2 order
-/// consumes a v1 file identically.
+/// \brief Sequential reader over one section of an opened artifact. Bounds
+/// every read against the section length; Finish() requires the section to
+/// be fully consumed. Checksums are validated by ArtifactReader before a
+/// SectionReader exists, so reads are pure cursor movement.
 class SectionReader {
  public:
   template <typename T>
@@ -378,13 +232,13 @@ class SectionReader {
       return Corrupt("array of " + std::to_string(count) +
                      " elements exceeds the bytes left in the section");
     }
-    const std::byte* at = data_.data() + *pos_;
+    const std::byte* at = data_.data() + pos_;
     if (backing_ != nullptr &&
         reinterpret_cast<uintptr_t>(at) % alignof(T) == 0) {
       *out = PodArray<T>::View(
           {reinterpret_cast<const T*>(at), static_cast<size_t>(count)},
           backing_);
-      *pos_ += static_cast<size_t>(count) * sizeof(T);
+      pos_ += static_cast<size_t>(count) * sizeof(T);
       return Status::OK();
     }
     std::vector<T> owned(static_cast<size_t>(count));
@@ -394,41 +248,35 @@ class SectionReader {
   }
 
   /// Section bytes left to read.
-  uint64_t remaining() const { return data_.size() - *pos_; }
+  uint64_t remaining() const { return data_.size() - pos_; }
 
-  /// Requires the section (v2) or the legacy payload (v1) to be fully
-  /// consumed.
+  /// Requires the section to be fully consumed.
   Status Finish();
 
  private:
   friend class ArtifactReader;
   SectionReader(std::string path, std::span<const std::byte> data,
-                std::shared_ptr<size_t> pos,
                 std::shared_ptr<const MmapFile> backing)
-      : path_(std::move(path)),
-        data_(data),
-        pos_(std::move(pos)),
-        backing_(std::move(backing)) {}
+      : path_(std::move(path)), data_(data), backing_(std::move(backing)) {}
 
   Status Consume(void* dst, size_t len);
   Status Corrupt(const std::string& what) const;
 
   std::string path_;
   std::span<const std::byte> data_;
-  std::shared_ptr<size_t> pos_;  ///< shared across sections of a v1 artifact
+  size_t pos_ = 0;
   std::shared_ptr<const MmapFile> backing_;  ///< null disables zero-copy
 };
 
-/// \brief Opens an artifact of either container format over an MmapFile and
-/// hands out SectionReaders. Structural problems specific to the container
-/// (bad table, out-of-bounds or truncated section, checksum mismatch) fail
-/// with kInvalidArgument; not-an-artifact problems (missing file, wrong
-/// magic, unknown version, wrong kind) fail with kIOError, matching the
-/// v1 BinaryReader contract.
+/// \brief Opens an artifact over an MmapFile and hands out SectionReaders.
+/// Structural problems specific to the container (bad table, out-of-bounds
+/// or truncated section, checksum mismatch) fail with kInvalidArgument;
+/// not-an-artifact problems (missing file, wrong magic, unknown version,
+/// wrong kind) fail with kIOError.
 struct ArtifactReadOptions {
   bool allow_mmap = true;
   /// Verification can be disabled for trusted local caches; the default
-  /// checks every byte exactly as format v1 did.
+  /// checks the header checksum and every section's checksum.
   bool verify_checksums = true;
 };
 
@@ -440,18 +288,14 @@ class ArtifactReader {
                                      const std::string& kind,
                                      const Options& options = {});
 
-  /// Container format of the opened file (kSerdeFormatV1 or V2).
-  uint32_t version() const { return version_; }
-
-  /// The v2 section table (empty for a v1 artifact).
+  /// The section table, in file order.
   const std::vector<SectionInfo>& sections() const { return sections_; }
 
-  /// Whether the artifact bytes are mmap'd (false for v1 or heap fallback).
+  /// Whether the artifact bytes are mmap'd (false on the heap fallback).
   bool is_mapped() const { return file_ != nullptr && file_->is_mapped(); }
 
-  /// Returns a reader over the named section. On a v2 artifact this
-  /// validates the section checksum; on a v1 artifact the name is ignored
-  /// and the reader continues the shared cursor over the legacy payload.
+  /// Returns a reader over the named section, after validating its checksum
+  /// (unless verification is disabled).
   Result<SectionReader> Section(const std::string& name) const;
 
  private:
@@ -459,11 +303,7 @@ class ArtifactReader {
 
   std::shared_ptr<const MmapFile> file_;
   std::string path_;
-  uint32_t version_ = 0;
-  std::vector<SectionInfo> sections_;        // v2 only
-  uint64_t v1_payload_begin_ = 0;            // v1 only
-  uint64_t v1_payload_end_ = 0;              // v1 only
-  std::shared_ptr<size_t> v1_cursor_;        // v1 only
+  std::vector<SectionInfo> sections_;
   bool verify_checksums_ = true;
 };
 

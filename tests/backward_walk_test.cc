@@ -11,7 +11,6 @@
 #include "ppr/backward_walk.h"
 #include "ppr/reverse_pagerank.h"
 #include "test_util.h"
-#include "util/flat_hash_map.h"
 
 namespace prsim {
 namespace {

@@ -14,6 +14,7 @@
 #include "core/engine_config.h"
 #include "core/engine_registry.h"
 #include "core/prsim.h"
+#include "gen/chung_lu.h"
 #include "test_util.h"
 
 namespace prsim {
@@ -270,6 +271,38 @@ TEST(QuerySurfaceTest, CloneWithSeedAnswersWithoutRePreprocessing) {
     ASSERT_NE(clone, nullptr);
     const ScoreList scores = clone->Query(0);
     EXPECT_DOUBLE_EQ(ScoreOf(scores, 0), 1.0);
+  }
+}
+
+TEST(QuerySurfaceTest, WarmedEngineAnswersLikeFreshOne) {
+  // Scores are a pure function of (index, seed, stream position), never of
+  // scratch state earlier queries left behind. The graph is large enough
+  // that ProbeSim's reused probe maps grow past their initial capacity.
+  ChungLuOptions gen;
+  gen.n = 5000;
+  gen.avg_degree = 8;
+  gen.seed = 3;
+  const Graph g = GenerateChungLu(gen).ValueOrDie();
+  constexpr uint64_t kSeed = 42;
+  for (const std::string& name : EngineRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    // Two power-method iterations keep the O(n * m) sweeps test-sized, and
+    // eps=0.2 cuts ProbeSim's samples 4x (its maps still grow).
+    std::string params = RoundTripParams(name);
+    if (name == "powermethod") params = "iterations=2";
+    if (name == "probesim") params = "eps=0.2";
+    auto leader =
+        EngineRegistry::Global().Create(name, g, params).MoveValueUnsafe();
+    ASSERT_TRUE(leader->Preprocess().ok());
+    for (const NodeId u : {NodeId{0}, NodeId{17}, NodeId{4321}}) {
+      SCOPED_TRACE(u);
+      std::unique_ptr<SingleSourceSimRank> warmed =
+          leader->CloneWithSeed(kSeed);
+      warmed->Query((u + 1) % g.n());
+      warmed->Query((u + 2) % g.n());
+      warmed->Reseed(kSeed);
+      EXPECT_EQ(warmed->Query(u), leader->CloneWithSeed(kSeed)->Query(u));
+    }
   }
 }
 

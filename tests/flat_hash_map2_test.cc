@@ -1,14 +1,12 @@
 // FlatHashMap2 (SwissTable-style metadata probing, journal-driven clear,
-// insertion-order iteration) plus the v1 regressions this PR fixed:
-// operator[] growing on lookups, doubling-loop overflow, and the
-// PackNodeLevel level cap. Also pins the OrderedSlot invariant that makes
-// the v2 hot-path migration bit-identity-safe: the caller-held keys vector
-// is a pure function of the insertion sequence, never of the capacity a
+// insertion-order iteration), its guards against lookups that grow the map
+// and doubling-loop overflow, and the PackNodeLevel level cap. Also pins
+// the OrderedSlot invariant: the caller-held keys vector and ForEach order
+// are a pure function of the insertion sequence, never of the capacity a
 // reused map retained from earlier queries.
 
 #include "util/flat_hash_map2.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <unordered_map>
@@ -16,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/flat_hash_map.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -201,39 +198,18 @@ TEST(FlatHashMap2Test, LookupNeverGrows) {
 }
 
 // --------------------------------------------------------------------------
-// v1 regressions fixed in this PR
+// Overflow guards
 // --------------------------------------------------------------------------
-
-TEST(FlatHashMapV1RegressionTest, LookupAtLoadFactorBoundaryDoesNotGrow) {
-  // v1 grows when (size + 1) * 4 >= capacity * 3: a 16-slot map holding 11
-  // entries sits exactly at the boundary. The old operator[] rehashed on
-  // ANY access there — including a lookup of a present key — so capacity
-  // retention diverged from the true insert count.
-  FlatHashMap<int> map(4);
-  ASSERT_EQ(map.capacity(), 16u);
-  for (uint64_t i = 0; i < 11; ++i) map[i] = 1;
-  ASSERT_EQ(map.capacity(), 16u);
-  map[3] += 1;  // lookup of a present key at the boundary
-  EXPECT_EQ(map.capacity(), 16u) << "lookup must not grow the map";
-  map[77] = 1;  // a real insert at the boundary does grow
-  EXPECT_EQ(map.capacity(), 32u);
-  EXPECT_EQ(map.size(), 12u);
-}
 
 TEST(FlatHashMapOverflowGuardTest, HugeRequestsAreRejected) {
   // The power-of-two doubling loops used to spin or wrap on huge requests;
   // now they fail loudly before allocating anything.
-  EXPECT_DEATH(FlatHashMap<int> m(~size_t{0} / 2), "exceeds");
   EXPECT_DEATH(FlatHashMap2<int> m(~size_t{0} / 2), "exceeds");
-  FlatHashMap<int> v1;
-  EXPECT_DEATH(v1.Reserve(~size_t{0} - 1), "exceeds");
-  FlatHashMap2<int> v2;
-  EXPECT_DEATH(v2.Reserve(~size_t{0} - 1), "exceeds");
+  FlatHashMap2<int> map;
+  EXPECT_DEATH(map.Reserve(~size_t{0} - 1), "exceeds");
   // In-range requests still work.
-  v1.Reserve(1 << 12);
-  v2.Reserve(1 << 12);
-  EXPECT_GE(v1.capacity(), size_t{1} << 12);
-  EXPECT_GE(v2.capacity(), size_t{1} << 12);
+  map.Reserve(1 << 12);
+  EXPECT_GE(map.capacity(), size_t{1} << 12);
 }
 
 // --------------------------------------------------------------------------
@@ -254,11 +230,10 @@ TEST(PackNodeLevelTest, RoundTripsAtBoundaries) {
   }
 }
 
-TEST(PackNodeLevelTest, NeverCollidesWithEmptyKeySentinel) {
+TEST(PackNodeLevelTest, TopByteIsAlwaysClear) {
   // Levels occupy bits 32..55, so the top byte of a packed key is always
-  // zero — strictly below v1's kEmptyKey sentinel.
+  // zero.
   const uint64_t max_packed = PackNodeLevel(~0u, kPackNodeLevelCap - 1);
-  EXPECT_LT(max_packed, FlatHashMap<int>::kEmptyKey);
   EXPECT_EQ(max_packed >> 56, 0u);
 }
 
@@ -269,15 +244,14 @@ TEST(PackNodeLevelTest, LevelCapIsEnforcedInDebugBuilds) {
 #endif
 
 // --------------------------------------------------------------------------
-// OrderedSlot under capacity-retained reuse — the invariant that makes the
-// v2 hot-path migration bit-identity-safe.
+// OrderedSlot under capacity-retained reuse — the invariant that makes a
+// warmed workspace answer like a fresh one.
 // --------------------------------------------------------------------------
 
 /// Runs one accumulation sequence through OrderedSlot and returns
 /// (insertion-order keys, ForEach-order keys).
-template <typename Map>
 std::pair<std::vector<uint64_t>, std::vector<uint64_t>> RunSequence(
-    Map& map, const std::vector<uint64_t>& sequence) {
+    FlatHashMap2<double>& map, const std::vector<uint64_t>& sequence) {
   std::vector<uint64_t> keys;
   for (const uint64_t k : sequence) OrderedSlot(map, keys, k) += 1.0;
   std::vector<uint64_t> foreach_order;
@@ -292,35 +266,7 @@ std::vector<uint64_t> TestSequence() {
   return sequence;
 }
 
-TEST(OrderedSlotTest, V1KeysAreAPureFunctionOfInsertionOrder) {
-  const auto sequence = TestSequence();
-
-  FlatHashMap<double> fresh(16);
-  const auto [fresh_keys, fresh_slots] = RunSequence(fresh, sequence);
-
-  // Same sequence into a map that retained a large capacity from earlier
-  // use — the pooled-workspace situation.
-  FlatHashMap<double> retained(16);
-  retained.Reserve(8192);
-  retained.clear();
-  const auto [retained_keys, retained_slots] = RunSequence(retained, sequence);
-
-  // The insertion-order keys vector is identical across retained
-  // capacities...
-  EXPECT_EQ(fresh_keys, retained_keys);
-  // ...while v1's raw slot order is not (this is exactly why every
-  // order-sensitive pass iterates the keys vector, never the map).
-  EXPECT_NE(fresh_slots, retained_slots);
-  EXPECT_NE(retained_slots, retained_keys);
-
-  // Same multiset either way.
-  auto sorted_a = fresh_slots, sorted_b = retained_slots;
-  std::sort(sorted_a.begin(), sorted_a.end());
-  std::sort(sorted_b.begin(), sorted_b.end());
-  EXPECT_EQ(sorted_a, sorted_b);
-}
-
-TEST(OrderedSlotTest, V2ForEachMatchesKeysVectorAtAnyRetainedCapacity) {
+TEST(OrderedSlotTest, ForEachMatchesKeysVectorAtAnyRetainedCapacity) {
   const auto sequence = TestSequence();
 
   FlatHashMap2<double> fresh(16);
@@ -331,8 +277,7 @@ TEST(OrderedSlotTest, V2ForEachMatchesKeysVectorAtAnyRetainedCapacity) {
   retained.clear();
   const auto [retained_keys, retained_order] = RunSequence(retained, sequence);
 
-  // v2 upgrades the discipline to a container property: ForEach IS the
-  // insertion order, whatever capacity the map retained.
+  // ForEach IS the insertion order, whatever capacity the map retained.
   EXPECT_EQ(fresh_keys, retained_keys);
   EXPECT_EQ(fresh_order, fresh_keys);
   EXPECT_EQ(retained_order, retained_keys);

@@ -220,16 +220,32 @@ TEST(ResultCacheTest, ConcurrentLookupsProduceOneLeaderAndManyWaiters) {
   constexpr int kThreads = 16;
   std::atomic<int> leaders{0};
   std::atomic<int> ok_waiters{0};
+  // Counts Lookup calls that have returned. The leader publishes only once
+  // every thread has looked up, so no thread can arrive late and see a hit
+  // however the scheduler (or TSan's slowdown) orders them. The wait is
+  // bounded so a broken cache fails the assertions below instead of
+  // hanging.
+  std::mutex lookups_mu;
+  std::condition_variable lookups_cv;
+  int lookups_done = 0;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const uint32_t k = (t % 2 == 0) ? 0u : 2u;
       auto ticket = cache.Lookup(key, k, WallTimer());
+      {
+        std::lock_guard<std::mutex> lock(lookups_mu);
+        ++lookups_done;
+      }
+      lookups_cv.notify_all();
       if (ticket.role == ResultCache::Role::kLeader) {
         leaders.fetch_add(1);
-        // Let waiters pile up before publishing.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        {
+          std::unique_lock<std::mutex> lock(lookups_mu);
+          lookups_cv.wait_for(lock, std::chrono::seconds(30),
+                              [&] { return lookups_done == kThreads; });
+        }
         cache.Publish(key, Status::OK(), scores);
       } else {
         ASSERT_EQ(ticket.role, ResultCache::Role::kWaiter);

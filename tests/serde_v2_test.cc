@@ -1,8 +1,9 @@
-// Tests for the format-v2 artifact container: sectioned layout,
-// deterministic byte-identical output, mmap-backed zero-copy reads with a
-// behaviorally identical read() fallback, v1 read-compatibility through the
-// shared-cursor shim, and clean kInvalidArgument rejection of corrupt or
-// truncated files.
+// Tests for the artifact container: sectioned layout, deterministic
+// byte-identical output, mmap-backed zero-copy reads with a behaviorally
+// identical read() fallback, crash-safe writes, clean kIOError rejection of
+// files that are not readable artifacts (including unsupported container
+// versions), and clean kInvalidArgument rejection of corrupt or truncated
+// files.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +56,6 @@ class SerdeV2Test : public ::testing::Test {
                     const ArtifactReadOptions& options = {}) {
     PRSIM_ASSIGN_OR_RETURN(ArtifactReader reader,
                            ArtifactReader::Open(path, "v2-test", options));
-    EXPECT_EQ(reader.version(), kSerdeFormatV2);
     PRSIM_ASSIGN_OR_RETURN(SectionReader meta, reader.Section("meta"));
     uint32_t a = 0;
     std::string s;
@@ -91,6 +91,22 @@ class SerdeV2Test : public ::testing::Test {
     byte = static_cast<char>(byte ^ 0x5a);
     file.seekp(pos);
     file.write(&byte, 1);
+  }
+
+  /// Overwrites the u32 container version that follows the 8-byte magic.
+  void PatchVersion(const std::string& path, uint32_t version) {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file.good());
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+
+  /// No file in the test directory may be a writer's leftover temporary.
+  void ExpectNoTempFiles() {
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
+          << entry.path();
+    }
   }
 
   /// File offset of the last byte of the "numbers" section body. The bytes
@@ -206,59 +222,6 @@ TEST_F(SerdeV2Test, PodArrayCopiesOnHeapFallback) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 read-compatibility: a legacy single-payload artifact reads through the
-// same ArtifactReader, with every Section() continuing one shared cursor.
-// ---------------------------------------------------------------------------
-
-TEST_F(SerdeV2Test, ReadsV1ArtifactsThroughSectionShim) {
-  const std::string path = Path("legacy.bin");
-  {
-    BinaryWriter writer(path, "v2-test", kSerdeFormatV1);
-    writer.WritePod<uint32_t>(42);
-    writer.WriteString("hello sections");
-    writer.WriteVector(std::vector<uint64_t>{5, 6, 7, 8});
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  auto reader = ArtifactReader::Open(path, "v2-test");
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader.ValueOrDie().version(), kSerdeFormatV1);
-  EXPECT_TRUE(reader.ValueOrDie().sections().empty());
-
-  // Section names are ignored; reads replay the payload positionally.
-  auto meta = reader.ValueOrDie().Section("meta");
-  ASSERT_TRUE(meta.ok());
-  uint32_t a = 0;
-  std::string s;
-  ASSERT_TRUE(meta.ValueOrDie().ReadPod(&a).ok());
-  ASSERT_TRUE(meta.ValueOrDie().ReadString(&s).ok());
-  EXPECT_EQ(a, 42u);
-  EXPECT_EQ(s, "hello sections");
-
-  auto numbers = reader.ValueOrDie().Section("numbers");
-  ASSERT_TRUE(numbers.ok());
-  std::vector<uint64_t> v;
-  ASSERT_TRUE(numbers.ValueOrDie().ReadVector(&v).ok());
-  EXPECT_EQ(v, (std::vector<uint64_t>{5, 6, 7, 8}));
-  // The shared cursor has consumed the whole payload.
-  EXPECT_TRUE(numbers.ValueOrDie().Finish().ok());
-}
-
-TEST_F(SerdeV2Test, V1CorruptionIsCaughtAtOpen) {
-  const std::string path = Path("legacy_corrupt.bin");
-  {
-    BinaryWriter writer(path, "v2-test", kSerdeFormatV1);
-    writer.WriteVector(std::vector<uint64_t>{5, 6, 7, 8});
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  CorruptByte(path, -12);  // inside the payload, not the trailer
-  auto reader = ArtifactReader::Open(path, "v2-test");
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(reader.status().message().find("checksum"), std::string::npos)
-      << reader.status().ToString();
-}
-
-// ---------------------------------------------------------------------------
 // Rejection: not-an-artifact problems are kIOError, structural corruption
 // inside a valid envelope is kInvalidArgument.
 // ---------------------------------------------------------------------------
@@ -282,6 +245,24 @@ TEST_F(SerdeV2Test, FlippedMagicFailsWithIOError) {
   auto reader = ArtifactReader::Open(path, "v2-test");
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+}
+
+// Only the current container version opens; an older (or newer) one is a
+// not-readable-here artifact, and the message names the version found.
+TEST_F(SerdeV2Test, UnsupportedVersionFailsWithIOError) {
+  for (const uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE(version);
+    const std::string path =
+        WriteSample("version" + std::to_string(version) + ".bin");
+    PatchVersion(path, version);
+    auto reader = ArtifactReader::Open(path, "v2-test");
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+    EXPECT_NE(reader.status().message().find("version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << reader.status().ToString();
+  }
 }
 
 TEST_F(SerdeV2Test, MissingSectionFailsWithInvalidArgument) {
@@ -334,6 +315,27 @@ TEST_F(SerdeV2Test, TruncatedSectionFailsWithInvalidArgument) {
       << reader.status().ToString();
 }
 
+// A hostile length prefix must fail cleanly instead of attempting a
+// multi-gigabyte allocation.
+TEST_F(SerdeV2Test, OversizedVectorLengthFails) {
+  const std::string path = Path("huge.bin");
+  {
+    ArtifactWriter writer(path, "v2-test");
+    // Fake element count with no elements behind it.
+    writer.AddSection("numbers").WritePod<uint64_t>(0x7fffffffffffffffULL);
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto reader = ArtifactReader::Open(path, "v2-test");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto section = reader.ValueOrDie().Section("numbers");
+  ASSERT_TRUE(section.ok());
+  std::vector<double> v;
+  const Status st = section.ValueOrDie().ReadVector(&v);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(v.empty());
+}
+
 TEST_F(SerdeV2Test, VerificationCanBeDisabledForTrustedCaches) {
   const std::string path = WriteSample("trusted.bin");
   CorruptByte(path, NumbersLastByte(path));
@@ -360,6 +362,9 @@ TEST_F(SerdeV2Test, DuplicateSectionNameFailsAtFinish) {
   EXPECT_FALSE(std::filesystem::exists(Path("dup.bin")));
 }
 
+// The reader caps strings at 256 bytes, so the writer must reject longer
+// ones instead of producing an artifact that can never be read — and the
+// failed save must leave neither the file nor a temporary behind.
 TEST_F(SerdeV2Test, OverlongSectionStringFailsAtFinish) {
   ArtifactWriter writer(Path("long.bin"), "v2-test");
   writer.AddSection("meta").WriteString(std::string(300, 'x'));
@@ -367,6 +372,62 @@ TEST_F(SerdeV2Test, OverlongSectionStringFailsAtFinish) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(std::filesystem::exists(Path("long.bin")));
+  ExpectNoTempFiles();
+}
+
+TEST_F(SerdeV2Test, AbandonedWriterLeavesNoFile) {
+  {
+    ArtifactWriter writer(Path("abandoned.bin"), "v2-test");
+    writer.AddSection("meta").WritePod<uint32_t>(1);
+    // No Finish(): simulates a failed save path bailing out early.
+  }
+  EXPECT_FALSE(std::filesystem::exists(Path("abandoned.bin")));
+  ExpectNoTempFiles();
+}
+
+TEST_F(SerdeV2Test, WriterToUnwritablePathFails) {
+  ArtifactWriter writer(Path("no/such/dir/x.bin"), "v2-test");
+  writer.AddSection("meta").WritePod<uint32_t>(1);
+  const Status st = writer.Finish();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+}
+
+// WriteElements streamed piecewise must be byte-identical to one
+// WriteVector of the concatenation.
+TEST_F(SerdeV2Test, WriteElementsMatchesWriteVector) {
+  const std::vector<uint32_t> a = {1, 2, 3}, b = {4, 5};
+  {
+    ArtifactWriter writer(Path("vec.bin"), "v2-test");
+    writer.AddSection("numbers").WriteVector(
+        std::vector<uint32_t>{1, 2, 3, 4, 5});
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  {
+    ArtifactWriter writer(Path("elems.bin"), "v2-test");
+    ByteSink& numbers = writer.AddSection("numbers");
+    numbers.WritePod<uint64_t>(a.size() + b.size());
+    numbers.WriteElements(a.data(), a.size());
+    numbers.WriteElements(b.data(), b.size());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  EXPECT_EQ(FileBytes(Path("vec.bin")), FileBytes(Path("elems.bin")));
+
+  auto reader = ArtifactReader::Open(Path("elems.bin"), "v2-test");
+  ASSERT_TRUE(reader.ok());
+  auto section = reader.ValueOrDie().Section("numbers");
+  ASSERT_TRUE(section.ok());
+  std::vector<uint32_t> round;
+  ASSERT_TRUE(section.ValueOrDie().ReadVector(&round).ok());
+  EXPECT_EQ(round, (std::vector<uint32_t>{1, 2, 3, 4, 5}));
+  EXPECT_TRUE(section.ValueOrDie().Finish().ok());
+}
+
+TEST_F(SerdeV2Test, HashStringIsStable) {
+  // FNV-1a offset basis: hashing zero bytes must return it unchanged.
+  EXPECT_EQ(HashString(""), 0xcbf29ce484222325ULL);
+  EXPECT_NE(HashString("a"), HashString("b"));
+  EXPECT_EQ(HashString("abc"), HashString("abc"));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-// Unit tests for src/util: Status/Result, Rng, FlatHashMap, AliasTable,
-// ParallelFor.
+// Unit tests for src/util: Status/Result, Rng, AliasTable, ParallelFor.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,15 +8,12 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/alias_table.h"
 #include "util/cache_dir.h"
-#include "util/flat_hash_map.h"
 #include "util/parallel.h"
 #include "util/percentiles.h"
 #include "util/rng.h"
@@ -169,105 +165,6 @@ TEST(RngTest, ForkDecorrelates) {
   int equal = 0;
   for (int i = 0; i < 64; ++i) equal += (parent.Next() == child.Next());
   EXPECT_LT(equal, 2);
-}
-
-// --------------------------------------------------------------------------
-// FlatHashMap
-// --------------------------------------------------------------------------
-
-TEST(FlatHashMapTest, InsertAndFind) {
-  FlatHashMap<double> map;
-  map[3] = 1.5;
-  map[7] += 2.0;
-  EXPECT_EQ(map.size(), 2u);
-  ASSERT_NE(map.Find(3), nullptr);
-  EXPECT_DOUBLE_EQ(*map.Find(3), 1.5);
-  ASSERT_NE(map.Find(7), nullptr);
-  EXPECT_DOUBLE_EQ(*map.Find(7), 2.0);
-  EXPECT_EQ(map.Find(4), nullptr);
-}
-
-TEST(FlatHashMapTest, OperatorBracketDefaultConstructs) {
-  FlatHashMap<double> map;
-  EXPECT_DOUBLE_EQ(map[42], 0.0);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatHashMapTest, GrowPreservesEntries) {
-  FlatHashMap<uint64_t> map(4);
-  for (uint64_t i = 0; i < 5000; ++i) map[i * 3 + 1] = i;
-  EXPECT_EQ(map.size(), 5000u);
-  for (uint64_t i = 0; i < 5000; ++i) {
-    const uint64_t* v = map.Find(i * 3 + 1);
-    ASSERT_NE(v, nullptr) << i;
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(FlatHashMapTest, ReserveGrowsAndPreservesEntries) {
-  FlatHashMap<uint64_t> map(4);
-  for (uint64_t i = 0; i < 20; ++i) map[i * 7 + 2] = i;
-  const size_t before = map.capacity();
-  map.Reserve(before);  // no-op: already there
-  EXPECT_EQ(map.capacity(), before);
-  map.Reserve(before * 4);
-  EXPECT_GE(map.capacity(), before * 4);
-  EXPECT_EQ(map.size(), 20u);
-  for (uint64_t i = 0; i < 20; ++i) {
-    const uint64_t* v = map.Find(i * 7 + 2);
-    ASSERT_NE(v, nullptr) << i;
-    EXPECT_EQ(*v, i);
-  }
-  // clear() keeps the reserved capacity (the workspace-reuse contract).
-  map.clear();
-  EXPECT_GE(map.capacity(), before * 4);
-}
-
-TEST(FlatHashMapTest, ClearEmpties) {
-  FlatHashMap<int> map;
-  for (uint64_t i = 0; i < 100; ++i) map[i] = 1;
-  map.clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(5), nullptr);
-  map[5] = 2;
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatHashMapTest, ForEachVisitsAllOnce) {
-  FlatHashMap<uint64_t> map;
-  for (uint64_t i = 0; i < 257; ++i) map[i + 1] = i;
-  std::set<uint64_t> keys;
-  map.ForEach([&](uint64_t k, const uint64_t& v) {
-    EXPECT_EQ(v, k - 1);
-    EXPECT_TRUE(keys.insert(k).second);
-  });
-  EXPECT_EQ(keys.size(), 257u);
-}
-
-TEST(FlatHashMapTest, AgreesWithStdUnorderedMapUnderRandomOps) {
-  // Property test: random accumulation pattern must match std::unordered_map.
-  Rng rng(99);
-  FlatHashMap<double> mine;
-  std::unordered_map<uint64_t, double> ref;
-  for (int i = 0; i < 20000; ++i) {
-    const uint64_t key = rng.NextBounded(3000);
-    const double val = rng.NextDouble();
-    mine[key] += val;
-    ref[key] += val;
-  }
-  EXPECT_EQ(mine.size(), ref.size());
-  for (const auto& [k, v] : ref) {
-    const double* found = mine.Find(k);
-    ASSERT_NE(found, nullptr);
-    EXPECT_NEAR(*found, v, 1e-9);
-  }
-}
-
-TEST(FlatHashMapTest, PackUnpackNodeLevel) {
-  const uint64_t key = PackNodeLevel(0xdeadbeefu, 63);
-  EXPECT_EQ(UnpackNode(key), 0xdeadbeefu);
-  EXPECT_EQ(UnpackLevel(key), 63u);
-  EXPECT_EQ(UnpackLevel(PackNodeLevel(5, 0)), 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 
 #include "ppr/walker.h"
 #include "test_util.h"
-#include "util/flat_hash_map.h"
+#include "util/flat_hash_map2.h"
 
 namespace prsim {
 namespace {
@@ -78,7 +78,7 @@ TEST(WalkerTest, TerminalDistributionMatchesDenseRppr) {
   Rng rng(3);
   const NodeId u = 4;
   const int samples = 400000;
-  FlatHashMap<double> counts;
+  FlatHashMap2<double> counts;
   for (int i = 0; i < samples; ++i) {
     auto out = walker.SampleWalk(u, rng);
     if (out.terminated) {

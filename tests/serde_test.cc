@@ -1,4 +1,7 @@
-// Tests for the versioned binary serialization framework.
+// Tests for the serialization primitives under the artifact container:
+// ByteSink element writes, SectionReader length checks, writer failure and
+// cleanup paths, and the stable string hash. The container layout itself
+// (sections, checksums, mmap) is covered by serde_v2_test.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/serde.h"
@@ -24,169 +26,59 @@ class SerdeTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::string Path(const std::string& name) { return (dir_ / name).string(); }
 
-  /// Writes a small reference artifact and returns its path.
-  std::string WriteSample(const std::string& name) {
-    const std::string path = Path(name);
-    BinaryWriter writer(path, "test-kind", 3);
-    writer.WritePod<uint32_t>(42);
-    writer.WritePod<double>(2.5);
-    writer.WriteString("payload string");
-    writer.WriteVector(std::vector<uint64_t>{1, 2, 3});
-    writer.WriteVector(std::vector<std::pair<uint32_t, float>>{{7, 0.5f}});
-    writer.WriteVector(std::vector<double>{});
-    EXPECT_TRUE(writer.Finish().ok());
-    return path;
+  static std::string FileBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
   }
 
-  /// Reads the reference artifact back, returning the first failure (all
-  /// fields are also checked when everything parses).
-  Status ReadSample(const std::string& path) {
-    BinaryReader reader(path, "test-kind", 3);
-    PRSIM_RETURN_NOT_OK(reader.status());
-    uint32_t a = 0;
-    double b = 0;
-    std::string s;
-    std::vector<uint64_t> v;
-    std::vector<std::pair<uint32_t, float>> pairs;
-    std::vector<double> empty;
-    PRSIM_RETURN_NOT_OK(reader.ReadPod(&a));
-    PRSIM_RETURN_NOT_OK(reader.ReadPod(&b));
-    PRSIM_RETURN_NOT_OK(reader.ReadString(&s));
-    PRSIM_RETURN_NOT_OK(reader.ReadVector(&v));
-    PRSIM_RETURN_NOT_OK(reader.ReadVector(&pairs));
-    PRSIM_RETURN_NOT_OK(reader.ReadVector(&empty));
-    PRSIM_RETURN_NOT_OK(reader.Finish());
-    EXPECT_EQ(a, 42u);
-    EXPECT_DOUBLE_EQ(b, 2.5);
-    EXPECT_EQ(s, "payload string");
-    EXPECT_EQ(v, (std::vector<uint64_t>{1, 2, 3}));
-    EXPECT_EQ(pairs,
-              (std::vector<std::pair<uint32_t, float>>{{7, 0.5f}}));
-    EXPECT_TRUE(empty.empty());
-    return Status::OK();
-  }
-
-  /// Flips one byte at `offset` (negative = from the end).
-  void CorruptByte(const std::string& path, int64_t offset) {
-    std::fstream file(path,
-                      std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(file.good());
-    if (offset < 0) {
-      file.seekg(offset, std::ios::end);
-    } else {
-      file.seekg(offset, std::ios::beg);
+  /// No file in the test directory may be a writer's leftover temporary.
+  void ExpectNoTempFiles() {
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
+          << entry.path();
     }
-    const auto pos = file.tellg();
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5a);
-    file.seekp(pos);
-    file.write(&byte, 1);
   }
 
   std::filesystem::path dir_;
 };
-
-TEST_F(SerdeTest, RoundTrip) {
-  EXPECT_TRUE(ReadSample(WriteSample("ok.bin")).ok());
-}
-
-TEST_F(SerdeTest, MissingFileFails) {
-  const Status st = ReadSample(Path("missing.bin"));
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
-}
-
-TEST_F(SerdeTest, FlippedMagicFails) {
-  const std::string path = WriteSample("magic.bin");
-  CorruptByte(path, 0);
-  const Status st = ReadSample(path);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("not a prsim artifact"), std::string::npos)
-      << st.ToString();
-}
-
-TEST_F(SerdeTest, WrongVersionFails) {
-  const std::string path = WriteSample("version.bin");
-  BinaryReader reader(path, "test-kind", 4);
-  ASSERT_FALSE(reader.status().ok());
-  EXPECT_NE(reader.status().message().find("version"), std::string::npos);
-}
-
-TEST_F(SerdeTest, WrongKindFails) {
-  const std::string path = WriteSample("kind.bin");
-  BinaryReader reader(path, "other-kind", 3);
-  ASSERT_FALSE(reader.status().ok());
-  EXPECT_NE(reader.status().message().find("test-kind"), std::string::npos);
-}
-
-TEST_F(SerdeTest, TruncationFails) {
-  const std::string path = WriteSample("trunc.bin");
-  const auto size = std::filesystem::file_size(path);
-  for (const auto fraction : {size / 2, size - 4}) {
-    std::filesystem::resize_file(path, fraction);
-    EXPECT_FALSE(ReadSample(path).ok()) << "at size " << fraction;
-  }
-}
-
-TEST_F(SerdeTest, PayloadCorruptionFailsChecksum) {
-  const std::string path = WriteSample("flip.bin");
-  // Flip a byte inside "payload string" (header is 8 magic + 4 version +
-  // 4+9 kind = 25 bytes; the string body starts at 25 + 4 + 8 + 4 = 41).
-  // Every field still parses, so only the checksum catches it.
-  CorruptByte(path, 45);
-  const Status st = ReadSample(path);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("checksum"), std::string::npos)
-      << st.ToString();
-}
-
-TEST_F(SerdeTest, TrailerCorruptionFailsChecksum) {
-  const std::string path = WriteSample("trailer.bin");
-  CorruptByte(path, -1);
-  const Status st = ReadSample(path);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("checksum"), std::string::npos)
-      << st.ToString();
-}
-
-TEST_F(SerdeTest, AppendedGarbageFails) {
-  const std::string path = WriteSample("garbage.bin");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "extra";
-  }
-  EXPECT_FALSE(ReadSample(path).ok());
-}
 
 // A hostile length prefix must fail cleanly instead of attempting a
 // multi-gigabyte allocation.
 TEST_F(SerdeTest, OversizedVectorLengthFails) {
   const std::string path = Path("huge.bin");
   {
-    BinaryWriter writer(path, "test-kind", 3);
-    writer.WritePod<uint64_t>(0x7fffffffffffffffULL);  // fake element count
+    ArtifactWriter writer(path, "serde-test");
+    // Fake element count with no elements behind it.
+    writer.AddSection("numbers").WritePod<uint64_t>(0x7fffffffffffffffULL);
     ASSERT_TRUE(writer.Finish().ok());
   }
-  BinaryReader reader(path, "test-kind", 3);
-  ASSERT_TRUE(reader.status().ok());
+  auto reader = ArtifactReader::Open(path, "serde-test");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto section = reader.ValueOrDie().Section("numbers");
+  ASSERT_TRUE(section.ok());
   std::vector<double> v;
-  const Status st = reader.ReadVector(&v);
+  const Status st = section.ValueOrDie().ReadVector(&v);
   ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(v.empty());
 }
 
-// The reader caps strings at 256 bytes, so the writer must reject longer
-// ones up front instead of producing an artifact that can never be read.
-TEST_F(SerdeTest, OverlongStringRejectedAtWriteTime) {
-  BinaryWriter writer(Path("long.bin"), "test-kind", 1);
-  writer.WriteString(std::string(300, 'x'));
+TEST_F(SerdeTest, AbandonedWriterLeavesNoFile) {
+  {
+    ArtifactWriter writer(Path("abandoned.bin"), "serde-test");
+    writer.AddSection("meta").WritePod<uint32_t>(1);
+    // No Finish(): simulates a failed save path bailing out early.
+  }
+  EXPECT_FALSE(std::filesystem::exists(Path("abandoned.bin")));
+  ExpectNoTempFiles();
+}
+
+TEST_F(SerdeTest, WriterToUnwritablePathFails) {
+  ArtifactWriter writer(Path("no/such/dir/x.bin"), "serde-test");
+  writer.AddSection("meta").WritePod<uint32_t>(1);
   const Status st = writer.Finish();
   ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  // The failed save must not leave a file (or temp) behind.
-  EXPECT_FALSE(std::filesystem::exists(Path("long.bin")));
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
 }
 
 // WriteElements streamed piecewise must be byte-identical to one
@@ -194,48 +86,29 @@ TEST_F(SerdeTest, OverlongStringRejectedAtWriteTime) {
 TEST_F(SerdeTest, WriteElementsMatchesWriteVector) {
   const std::vector<uint32_t> a = {1, 2, 3}, b = {4, 5};
   {
-    BinaryWriter writer(Path("vec.bin"), "test-kind", 1);
-    writer.WriteVector(std::vector<uint32_t>{1, 2, 3, 4, 5});
+    ArtifactWriter writer(Path("vec.bin"), "serde-test");
+    writer.AddSection("numbers").WriteVector(
+        std::vector<uint32_t>{1, 2, 3, 4, 5});
     ASSERT_TRUE(writer.Finish().ok());
   }
   {
-    BinaryWriter writer(Path("elems.bin"), "test-kind", 1);
-    writer.WritePod<uint64_t>(a.size() + b.size());
-    writer.WriteElements(a.data(), a.size());
-    writer.WriteElements(b.data(), b.size());
+    ArtifactWriter writer(Path("elems.bin"), "serde-test");
+    ByteSink& numbers = writer.AddSection("numbers");
+    numbers.WritePod<uint64_t>(a.size() + b.size());
+    numbers.WriteElements(a.data(), a.size());
+    numbers.WriteElements(b.data(), b.size());
     ASSERT_TRUE(writer.Finish().ok());
   }
-  std::ifstream va(Path("vec.bin"), std::ios::binary);
-  std::ifstream vb(Path("elems.bin"), std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(va)), {});
-  const std::string bytes_b((std::istreambuf_iterator<char>(vb)), {});
-  EXPECT_EQ(bytes_a, bytes_b);
+  EXPECT_EQ(FileBytes(Path("vec.bin")), FileBytes(Path("elems.bin")));
 
-  BinaryReader reader(Path("elems.bin"), "test-kind", 1);
+  auto reader = ArtifactReader::Open(Path("elems.bin"), "serde-test");
+  ASSERT_TRUE(reader.ok());
+  auto section = reader.ValueOrDie().Section("numbers");
+  ASSERT_TRUE(section.ok());
   std::vector<uint32_t> round;
-  ASSERT_TRUE(reader.ReadVector(&round).ok());
+  ASSERT_TRUE(section.ValueOrDie().ReadVector(&round).ok());
   EXPECT_EQ(round, (std::vector<uint32_t>{1, 2, 3, 4, 5}));
-  EXPECT_TRUE(reader.Finish().ok());
-}
-
-TEST_F(SerdeTest, AbandonedWriterLeavesNoFile) {
-  {
-    BinaryWriter writer(Path("abandoned.bin"), "test-kind", 1);
-    writer.WritePod<uint32_t>(1);
-    // No Finish(): simulates a failed save path bailing out early.
-  }
-  EXPECT_FALSE(std::filesystem::exists(Path("abandoned.bin")));
-  // Nothing left in the directory except files other tests created.
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
-        << entry.path();
-  }
-}
-
-TEST_F(SerdeTest, WriterToUnwritablePathFails) {
-  BinaryWriter writer(Path("no/such/dir/x.bin"), "test-kind", 1);
-  EXPECT_FALSE(writer.status().ok());
-  EXPECT_FALSE(writer.Finish().ok());
+  EXPECT_TRUE(section.ValueOrDie().Finish().ok());
 }
 
 TEST_F(SerdeTest, HashStringIsStable) {

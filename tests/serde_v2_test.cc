@@ -315,27 +315,6 @@ TEST_F(SerdeV2Test, TruncatedSectionFailsWithInvalidArgument) {
       << reader.status().ToString();
 }
 
-// A hostile length prefix must fail cleanly instead of attempting a
-// multi-gigabyte allocation.
-TEST_F(SerdeV2Test, OversizedVectorLengthFails) {
-  const std::string path = Path("huge.bin");
-  {
-    ArtifactWriter writer(path, "v2-test");
-    // Fake element count with no elements behind it.
-    writer.AddSection("numbers").WritePod<uint64_t>(0x7fffffffffffffffULL);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  auto reader = ArtifactReader::Open(path, "v2-test");
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  auto section = reader.ValueOrDie().Section("numbers");
-  ASSERT_TRUE(section.ok());
-  std::vector<double> v;
-  const Status st = section.ValueOrDie().ReadVector(&v);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(v.empty());
-}
-
 TEST_F(SerdeV2Test, VerificationCanBeDisabledForTrustedCaches) {
   const std::string path = WriteSample("trusted.bin");
   CorruptByte(path, NumbersLastByte(path));
@@ -373,61 +352,6 @@ TEST_F(SerdeV2Test, OverlongSectionStringFailsAtFinish) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(std::filesystem::exists(Path("long.bin")));
   ExpectNoTempFiles();
-}
-
-TEST_F(SerdeV2Test, AbandonedWriterLeavesNoFile) {
-  {
-    ArtifactWriter writer(Path("abandoned.bin"), "v2-test");
-    writer.AddSection("meta").WritePod<uint32_t>(1);
-    // No Finish(): simulates a failed save path bailing out early.
-  }
-  EXPECT_FALSE(std::filesystem::exists(Path("abandoned.bin")));
-  ExpectNoTempFiles();
-}
-
-TEST_F(SerdeV2Test, WriterToUnwritablePathFails) {
-  ArtifactWriter writer(Path("no/such/dir/x.bin"), "v2-test");
-  writer.AddSection("meta").WritePod<uint32_t>(1);
-  const Status st = writer.Finish();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
-}
-
-// WriteElements streamed piecewise must be byte-identical to one
-// WriteVector of the concatenation.
-TEST_F(SerdeV2Test, WriteElementsMatchesWriteVector) {
-  const std::vector<uint32_t> a = {1, 2, 3}, b = {4, 5};
-  {
-    ArtifactWriter writer(Path("vec.bin"), "v2-test");
-    writer.AddSection("numbers").WriteVector(
-        std::vector<uint32_t>{1, 2, 3, 4, 5});
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  {
-    ArtifactWriter writer(Path("elems.bin"), "v2-test");
-    ByteSink& numbers = writer.AddSection("numbers");
-    numbers.WritePod<uint64_t>(a.size() + b.size());
-    numbers.WriteElements(a.data(), a.size());
-    numbers.WriteElements(b.data(), b.size());
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  EXPECT_EQ(FileBytes(Path("vec.bin")), FileBytes(Path("elems.bin")));
-
-  auto reader = ArtifactReader::Open(Path("elems.bin"), "v2-test");
-  ASSERT_TRUE(reader.ok());
-  auto section = reader.ValueOrDie().Section("numbers");
-  ASSERT_TRUE(section.ok());
-  std::vector<uint32_t> round;
-  ASSERT_TRUE(section.ValueOrDie().ReadVector(&round).ok());
-  EXPECT_EQ(round, (std::vector<uint32_t>{1, 2, 3, 4, 5}));
-  EXPECT_TRUE(section.ValueOrDie().Finish().ok());
-}
-
-TEST_F(SerdeV2Test, HashStringIsStable) {
-  // FNV-1a offset basis: hashing zero bytes must return it unchanged.
-  EXPECT_EQ(HashString(""), 0xcbf29ce484222325ULL);
-  EXPECT_NE(HashString("a"), HashString("b"));
-  EXPECT_EQ(HashString("abc"), HashString("abc"));
 }
 
 // ---------------------------------------------------------------------------

@@ -187,6 +187,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                  "--n must be >= 100, --connections >= 1, --seconds > 0\n");
     return false;
   }
+  if (args->cache_mb > (SIZE_MAX >> 20)) {
+    // The byte budget is cache_mb << 20; a larger value would wrap it.
+    std::fprintf(stderr, "--cache-mb overflows the byte budget\n");
+    return false;
+  }
   if (args->cache_mb > 0 && !args->fresh) {
     // Positional requests bypass the cache by design; a cache pass without
     // --fresh would measure nothing but the budget allocation.

@@ -11,7 +11,6 @@
 #include "core/engine_registry.h"
 #include "core/result_cache.h"
 #include "util/fault_injection.h"
-#include "util/serde.h"
 
 namespace prsim {
 
@@ -47,14 +46,6 @@ std::string ServiceStatsJson(const ServiceStats& stats,
 
 namespace {
 
-void FnvUpdateString(Fnv64& fnv, const std::string& s) {
-  const uint64_t len = s.size();
-  fnv.Update(&len, sizeof(len));
-  fnv.Update(s.data(), s.size());
-}
-
-void FnvUpdateU64(Fnv64& fnv, uint64_t v) { fnv.Update(&v, sizeof(v)); }
-
 using ServiceClock = std::chrono::steady_clock;
 
 /// Relative deadlines at or beyond ~1 year are treated as "no deadline":
@@ -77,33 +68,6 @@ ServiceClock::time_point ResolveDeadline(const QueryRequest& request) {
   return ServiceClock::time_point::max();
 }
 
-/// Cache fingerprint for an engine built from (graph, config): any change
-/// to the graph shape/content, the canonical config rendering, or the
-/// leader seed changes the digest.
-uint64_t EngineFingerprint(const std::string& algo, const Graph& graph,
-                           const EngineConfig& config, uint64_t seed) {
-  Fnv64 fnv;
-  FnvUpdateString(fnv, algo);
-  FnvUpdateU64(fnv, graph.n());
-  FnvUpdateU64(fnv, graph.m());
-  FnvUpdateU64(fnv, graph.Checksum());
-  FnvUpdateString(fnv, config.ToString());
-  FnvUpdateU64(fnv, seed);
-  return fnv.digest();
-}
-
-/// Weaker digest for a caller-supplied preprocessed leader (no graph or
-/// config in hand): callers that swap leaders sharing (algo, n, seed) but
-/// differing elsewhere should disable or size-segregate the cache.
-uint64_t LeaderFingerprint(const std::string& algo,
-                           const SingleSourceSimRank& leader) {
-  Fnv64 fnv;
-  FnvUpdateString(fnv, algo);
-  FnvUpdateU64(fnv, leader.node_count());
-  FnvUpdateU64(fnv, leader.seed());
-  return fnv.digest();
-}
-
 }  // namespace
 
 QueryService::QueryService(const QueryServiceOptions& options)
@@ -117,9 +81,8 @@ QueryService::QueryService(const QueryServiceOptions& options)
 
 QueryService::~QueryService() = default;
 
-Status QueryService::AddEngineImpl(
-    const std::string& algo, std::unique_ptr<SingleSourceSimRank> leader,
-    uint64_t fingerprint) {
+Status QueryService::AddEngine(const std::string& algo,
+                               std::unique_ptr<SingleSourceSimRank> leader) {
   if (algo.empty()) {
     return Status::InvalidArgument("engine key must be non-empty");
   }
@@ -127,35 +90,14 @@ Status QueryService::AddEngineImpl(
     return Status::InvalidArgument("null leader engine for '" + algo + "'");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (submitted_ != 0) {
-    return Status::InvalidArgument(
-        "engines must be registered before the first Submit()");
+  if (leader_ != nullptr) {
+    return Status::AlreadyExists("this service already holds engine '" +
+                                 algo_ + "'");
   }
-  for (const auto& engine : engines_) {
-    if (engine->algo == algo) {
-      return Status::AlreadyExists("engine '" + algo + "' already registered");
-    }
-  }
-  auto engine = std::make_unique<Engine>();
-  engine->algo = algo;
-  engine->leader = std::move(leader);
-  engine->clones.resize(pool_.size());
-  engine->fingerprint = fingerprint;
-  engine->cache_seed = engine->leader->seed();
-  if (cache_ != nullptr) {
-    engine->cache_algo_id = cache_->RegisterEngine(algo, fingerprint);
-  }
-  engines_.push_back(std::move(engine));
+  algo_ = algo;
+  leader_ = std::move(leader);
+  clones_.resize(pool_.size());
   return Status::OK();
-}
-
-Status QueryService::AddEngine(const std::string& algo,
-                               std::unique_ptr<SingleSourceSimRank> leader) {
-  if (leader == nullptr) {
-    return Status::InvalidArgument("null leader engine for '" + algo + "'");
-  }
-  const uint64_t fingerprint = LeaderFingerprint(algo, *leader);
-  return AddEngineImpl(algo, std::move(leader), fingerprint);
 }
 
 Status QueryService::AddEngine(const std::string& algo, const Graph& graph,
@@ -165,9 +107,7 @@ Status QueryService::AddEngine(const std::string& algo, const Graph& graph,
   PRSIM_ASSIGN_OR_RETURN(auto leader,
                          EngineRegistry::Global().Create(algo, graph, config));
   PRSIM_RETURN_NOT_OK(leader->Preprocess());
-  const uint64_t fingerprint =
-      EngineFingerprint(info->name, graph, config, leader->seed());
-  return AddEngineImpl(info->name, std::move(leader), fingerprint);
+  return AddEngine(info->name, std::move(leader));
 }
 
 Status QueryService::AddEngineFromIndex(const std::string& algo,
@@ -179,28 +119,7 @@ Status QueryService::AddEngineFromIndex(const std::string& algo,
   PRSIM_ASSIGN_OR_RETURN(auto leader,
                          EngineRegistry::Global().CreateFromIndex(
                              algo, graph, config, index_path));
-  const uint64_t fingerprint =
-      EngineFingerprint(info->name, graph, config, leader->seed());
-  return AddEngineImpl(info->name, std::move(leader), fingerprint);
-}
-
-std::vector<std::string> QueryService::Algos() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(engines_.size());
-  for (const auto& engine : engines_) names.push_back(engine->algo);
-  return names;
-}
-
-QueryService::Engine* QueryService::FindEngine(const std::string& algo) {
-  // Called with mu_ held; Engine storage is stable (unique_ptr), so the
-  // returned pointer outlives the lock.
-  if (engines_.empty()) return nullptr;
-  if (algo.empty()) return engines_.front().get();
-  for (const auto& engine : engines_) {
-    if (engine->algo == algo) return engine.get();
-  }
-  return nullptr;
+  return AddEngine(info->name, std::move(leader));
 }
 
 std::future<QueryResult> QueryService::ReadyResult(QueryResult result) {
@@ -222,23 +141,21 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request) {
   WallTimer submit_timer;
   const ServiceClock::time_point deadline = ResolveDeadline(request);
   const bool has_deadline = deadline != ServiceClock::time_point::max();
-  Engine* engine = nullptr;
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Prechecks happen before a seq is consumed, so invalid requests never
     // shift the positional seeds (or the `submitted` count) of the valid
     // stream.
-    engine = FindEngine(request.algo);
     Status precheck;
-    if (engine == nullptr) {
-      precheck = engines_.empty()
-                     ? Status::InvalidArgument("no engines registered")
-                     : Status::NotFound("unknown engine: '" + request.algo +
-                                        "'");
-    } else if (request.source >= engine->leader->node_count()) {
+    if (leader_ == nullptr) {
+      precheck = Status::InvalidArgument("no engine registered");
+    } else if (!request.algo.empty() && request.algo != algo_) {
+      precheck = Status::NotFound("this service serves '" + algo_ +
+                                  "', not '" + request.algo + "'");
+    } else if (request.source >= leader_->node_count()) {
       precheck = Status::InvalidArgument(
           "source " + std::to_string(request.source) + " out of range (n = " +
-          std::to_string(engine->leader->node_count()) + ")");
+          std::to_string(leader_->node_count()) + ")");
     }
     if (!precheck.ok()) {
       ++failed_;
@@ -261,16 +178,13 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request) {
   }
 
   // Cache path: only fresh_seed requests — a fresh answer is a pure
-  // function of (fingerprint, seed, algo, source), a positional answer is
-  // not (see core/result_cache.h). Hits resolve here, BEFORE the bounded
-  // queue, so a saturated queue cannot backpressure them.
+  // function of the source, a positional answer is not (see
+  // core/result_cache.h). Hits resolve here, BEFORE the bounded queue, so
+  // a saturated queue cannot backpressure them.
   bool lead = false;
-  ResultCacheKey key;
   if (cache_ != nullptr && request.fresh_seed) {
-    key = ResultCacheKey{engine->fingerprint, engine->cache_seed,
-                         request.source, engine->cache_algo_id};
     ResultCache::Ticket ticket =
-        cache_->Lookup(key, request.k, submit_timer);
+        cache_->Lookup(request.source, request.k, submit_timer);
     switch (ticket.role) {
       case ResultCache::Role::kHit: {
         QueryResult result = ResultCache::CachedResult(
@@ -300,8 +214,8 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Admission refusals share one resolution path: `refusal` carries the
-    // status and `waiter_counter` names the stat that absorbs any
-    // coalesced waiters sharing the leader's fate.
+    // status and `waiter_counter` names the stat that, besides `failed`,
+    // absorbs any coalesced waiters sharing the leader's fate.
     Status refusal;
     uint64_t* waiter_counter = nullptr;
     if (inflight_ >= options_.max_queue) {
@@ -357,38 +271,38 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request) {
       if (lead) {
         // The flight must be resolved even though the leader never ran, or
         // coalesced waiters would hang forever. They share the leader's
-        // refusal and its counter.
+        // refusal and its counter; unlike the leader they were accepted
+        // (counted in `submitted`), so they also count as failed, keeping
+        // submitted == completed + failed.
         lock.unlock();
         ResultCache::PublishResult published =
-            cache_->Publish(key, refusal, nullptr);
+            cache_->Publish(request.source, refusal, nullptr);
         if (published.failed_waiters > 0) {
           std::lock_guard<std::mutex> relock(mu_);
+          failed_ += published.failed_waiters;
           *waiter_counter += published.failed_waiters;
         }
       }
       return ReadyResult({std::move(refusal), {}, 0, {}});
     }
-    // Accepting the first request freezes the engine set; from here on
-    // workers read Engine state without the lock. fresh_seed requests
-    // never consume a positional seq: the positional stream replays
-    // BatchQuery bit for bit no matter how much fresh traffic (cached or
-    // not) is interleaved.
+    // fresh_seed requests never consume a positional seq: the positional
+    // stream replays BatchQuery bit for bit no matter how much fresh
+    // traffic (cached or not) is interleaved.
     ++submitted_;
     if (!request.fresh_seed) seq = next_seq_++;
     ++inflight_;
     if (inflight_ > inflight_high_water_) inflight_high_water_ = inflight_;
   }
 
-  return pool_.Submit([this, engine, request = std::move(request), seq,
+  return pool_.Submit([this, request = std::move(request), seq,
                        submit_timer, lead, deadline] {
-    return RunQuery(*engine, request, seq, submit_timer, lead, deadline);
+    return RunQuery(request, seq, submit_timer, lead, deadline);
   });
 }
 
 QueryResult QueryService::RunQuery(
-    Engine& engine, const QueryRequest& request, uint64_t seq,
-    WallTimer submit_timer, bool publish_to_cache,
-    std::chrono::steady_clock::time_point deadline) {
+    const QueryRequest& request, uint64_t seq, WallTimer submit_timer,
+    bool publish_to_cache, std::chrono::steady_clock::time_point deadline) {
   const size_t worker = ThreadPool::WorkerIndex();
   PRSIM_CHECK(worker != ThreadPool::kNotAWorker && worker < pool_.size());
   uint64_t stall_ms = 0;
@@ -408,9 +322,7 @@ QueryResult QueryService::RunQuery(
     result.latency_seconds = submit_timer.Seconds();
     ResultCache::PublishResult published;
     if (publish_to_cache) {
-      const ResultCacheKey key{engine.fingerprint, engine.cache_seed,
-                               request.source, engine.cache_algo_id};
-      published = cache_->Publish(key, result.status, nullptr);
+      published = cache_->Publish(request.source, result.status, nullptr);
     }
     std::lock_guard<std::mutex> lock(mu_);
     // Accepted-then-expired counts as a failure too, so the accounting
@@ -425,28 +337,28 @@ QueryResult QueryService::RunQuery(
     queue_has_room_.notify_one();
     return result;
   }
-  std::unique_ptr<SingleSourceSimRank>& clone = engine.clones[worker];
+  std::unique_ptr<SingleSourceSimRank>& clone = clones_[worker];
   QueryResult result;
   std::shared_ptr<const ScoreList> full_scores;
   WallTimer exec_timer;
   try {
     if (clone == nullptr) {
-      clone = engine.leader->CloneWithSeed(engine.leader->seed());
+      clone = leader_->CloneWithSeed(leader_->seed());
       PRSIM_CHECK(clone != nullptr)
-          << engine.algo << " returned a null CloneWithSeed()";
+          << algo_ << " returned a null CloneWithSeed()";
     }
     // Positional reseed: a single-worker service answers the request
     // stream exactly like BatchQuery over the same sources. Callers can
     // override the position (shard routing passes the global stream order)
     // or ask for fresh-engine semantics (the one-shot query path).
     if (request.fresh_seed) {
-      clone->Reseed(engine.leader->seed());
+      clone->Reseed(leader_->seed());
     } else {
       const uint64_t position = request.seed_position ==
                                         QueryRequest::kServiceOrder
                                     ? seq
                                     : request.seed_position;
-      clone->Reseed(internal::BatchQuerySeed(engine.leader->seed(),
+      clone->Reseed(internal::BatchQuerySeed(leader_->seed(),
                                              static_cast<size_t>(position)));
     }
     if (PRSIM_FAULT_POINT("engine.query.throw", &stall_ms)) {
@@ -471,13 +383,13 @@ QueryResult QueryService::RunQuery(
     }
     result.cost = clone->last_query_cost();
   } catch (const std::exception& e) {
-    result.status = Status::Internal(engine.algo + " query threw: " + e.what());
+    result.status = Status::Internal(algo_ + " query threw: " + e.what());
     // The clone may hold partially mutated scratch; drop it so the next
     // query on this worker starts from a fresh clone.
     clone.reset();
     full_scores = nullptr;
   } catch (...) {
-    result.status = Status::Internal(engine.algo + " query threw");
+    result.status = Status::Internal(algo_ + " query threw");
     clone.reset();
     full_scores = nullptr;
   }
@@ -487,9 +399,7 @@ QueryResult QueryService::RunQuery(
   if (publish_to_cache) {
     // Publish on EVERY leader path — success or failure — so coalesced
     // waiters always resolve.
-    const ResultCacheKey key{engine.fingerprint, engine.cache_seed,
-                             request.source, engine.cache_algo_id};
-    published = cache_->Publish(key, result.status, full_scores);
+    published = cache_->Publish(request.source, result.status, full_scores);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -509,7 +419,7 @@ QueryResult QueryService::RunQuery(
   // Coalesced waiters resolved by this publish: they completed (or
   // failed) without ever entering the queue, but they are real answered
   // requests — fold them into the service counters and the latency
-  // reservoir.
+  // histogram.
   completed_ += published.ok_waiters;
   failed_ += published.failed_waiters;
   for (double latency : published.waiter_latencies) latencies_.Add(latency);
@@ -529,10 +439,9 @@ ServiceStats QueryService::Stats() const {
     stats.deadline_exceeded = deadline_exceeded_;
     stats.shed = shed_;
     stats.queue_high_water = inflight_high_water_;
-    const std::vector<double> sorted = latencies_.SortedSamples();
-    stats.p50_seconds = SortedQuantile(sorted, 0.50);
-    stats.p95_seconds = SortedQuantile(sorted, 0.95);
-    stats.p99_seconds = SortedQuantile(sorted, 0.99);
+    stats.p50_seconds = latencies_.Quantile(0.50);
+    stats.p95_seconds = latencies_.Quantile(0.95);
+    stats.p99_seconds = latencies_.Quantile(0.99);
     stats.aggregate_cost = aggregate_cost_;
     stats.aggregate_cost.latency_p50_seconds = stats.p50_seconds;
     stats.aggregate_cost.latency_p95_seconds = stats.p95_seconds;
@@ -551,9 +460,9 @@ ServiceStats QueryService::Stats() const {
   return stats;
 }
 
-std::vector<double> QueryService::LatencySamples() const {
+LatencyHistogram QueryService::Latencies() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return latencies_.SortedSamples();
+  return latencies_;
 }
 
 size_t QueryService::pending() const {

@@ -1,18 +1,20 @@
 // Async query service: the long-lived serving layer above BatchQuery.
 //
-// A QueryService owns one leader engine per registered algorithm (cold-
-// started from a SaveIndex() artifact via EngineRegistry::CreateFromIndex,
-// or handed a preprocessed engine) plus a dedicated ThreadPool. Clients call
-// Submit(QueryRequest) and get a future; requests flow through a bounded
-// queue with a configurable backpressure policy, are answered on pool
-// workers against per-worker engine clones (queries are stateful — each
-// clone carries its own pooled query workspace, warmed by its first query —
-// so one clone per worker, all sharing the leader's immutable index), and
-// every completion records its wall time into streaming latency percentiles
-// surfaced through ServiceStats / QueryCost. Engines with intra-query
-// parallelism (PRSim's chunked sample grid) degrade to serial chunk
-// execution inside service workers (the nested-parallelism rule), with
-// bit-identical scores.
+// A QueryService owns exactly one engine — a leader cold-started from a
+// SaveIndex() artifact via EngineRegistry::CreateFromIndex, or handed in
+// preprocessed — plus a dedicated ThreadPool. PRSim answers single-source
+// queries against one index, and every serving caller (serve, each shard
+// of the router) needs exactly that; a caller serving several engines
+// runs several services. Clients call Submit(QueryRequest) and get a
+// future; requests flow through a bounded queue with a configurable
+// backpressure policy, are answered on pool workers against per-worker
+// engine clones (queries are stateful — each clone carries its own pooled
+// query workspace, warmed by its first query — so one clone per worker,
+// all sharing the leader's immutable index), and every completion records
+// its wall time into a latency histogram surfaced through ServiceStats /
+// QueryCost. Engines with intra-query parallelism (PRSim's chunked sample
+// grid) degrade to serial chunk execution inside service workers (the
+// nested-parallelism rule), with bit-identical scores.
 //
 // Determinism: request `seq` (the submission order) plays the role of the
 // batch position — each query is reseeded with the positional BatchQuery
@@ -22,6 +24,8 @@
 // interleaved with fresh traffic stays bit-identical regardless of cache
 // state), and are the only requests eligible for the hot-source result
 // cache (core/result_cache.h) enabled by QueryServiceOptions::cache_bytes.
+// With one engine and one leader seed per service, a fresh answer is a
+// pure function of the source, which is all the cache keys on.
 
 #ifndef PRSIM_CORE_QUERY_SERVICE_H_
 #define PRSIM_CORE_QUERY_SERVICE_H_
@@ -53,7 +57,8 @@ struct QueryRequest {
   /// Sentinel for `deadline_ms`: the request has no deadline.
   static constexpr uint64_t kNoDeadline = ~uint64_t{0};
 
-  /// Registered algorithm key; empty selects the first registered engine.
+  /// Registered algorithm name; empty selects the service's engine, any
+  /// other name fails with kNotFound.
   std::string algo;
   NodeId source = 0;
   /// 0 = full single-source result; otherwise top-k (source excluded).
@@ -82,7 +87,8 @@ struct QueryRequest {
 };
 
 struct QueryResult {
-  /// kInvalidArgument for unknown algo / out-of-range source,
+  /// kNotFound for a foreign algo, kInvalidArgument for an out-of-range
+  /// source or a service without an engine,
   /// kResourceExhausted when rejected by backpressure or shed in degraded
   /// mode, kDeadlineExceeded when the deadline expired (at admission,
   /// waiting for queue capacity, in the queue, or via predictive shedding),
@@ -171,9 +177,10 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Registers `leader` under `algo`. The leader must already answer
-  /// queries (preprocessed or index-loaded). Registration happens before
-  /// the first Submit(); duplicate keys are rejected.
+  /// Installs `leader` as the service's engine under `algo`. The leader
+  /// must already answer queries (preprocessed or index-loaded). A service
+  /// holds one engine: any second AddEngine*() fails with kAlreadyExists,
+  /// so the engine never changes once requests can reach it.
   Status AddEngine(const std::string& algo,
                    std::unique_ptr<SingleSourceSimRank> leader);
 
@@ -186,9 +193,6 @@ class QueryService {
   Status AddEngineFromIndex(const std::string& algo, const Graph& graph,
                             const EngineConfig& config,
                             const std::string& index_path);
-
-  /// Registered algorithm keys, in registration order.
-  std::vector<std::string> Algos() const;
 
   /// Enqueues one query. The future resolves with the scores (full or
   /// top-k) or with the error status; engine exceptions surface as
@@ -208,11 +212,11 @@ class QueryService {
   /// Current lifetime counters and latency percentiles.
   ServiceStats Stats() const;
 
-  /// Snapshot of the retained latency reservoir (unsorted). Aggregators
-  /// merging several services (the shard router) pool raw samples so the
-  /// merged percentiles are computed over one combined distribution
-  /// instead of averaging per-service quantiles.
-  std::vector<double> LatencySamples() const;
+  /// Snapshot of the latency histogram. Aggregators merging several
+  /// services (the shard router) add the histograms, so merged percentiles
+  /// weight every request equally instead of averaging per-service
+  /// quantiles.
+  LatencyHistogram Latencies() const;
 
   /// Requests accepted but not yet completed (queued + executing).
   size_t pending() const;
@@ -220,33 +224,20 @@ class QueryService {
   size_t threads() const { return pool_.size(); }
 
  private:
-  struct Engine {
-    std::string algo;
-    std::unique_ptr<SingleSourceSimRank> leader;
-    /// One lazily minted clone per pool worker; slot w is touched only by
-    /// worker w, so no lock is needed after registration.
-    std::vector<std::unique_ptr<SingleSourceSimRank>> clones;
-    /// Cache identity: FNV over (algo, graph shape/checksum, canonical
-    /// config, leader seed) for the graph-constructing registrations, or a
-    /// weaker (algo, n, seed) digest for a caller-supplied leader.
-    uint64_t fingerprint = 0;
-    uint64_t cache_seed = 0;
-    uint32_t cache_algo_id = 0;
-  };
-
-  Status AddEngineImpl(const std::string& algo,
-                       std::unique_ptr<SingleSourceSimRank> leader,
-                       uint64_t fingerprint);
-  Engine* FindEngine(const std::string& algo);
-  QueryResult RunQuery(Engine& engine, const QueryRequest& request,
-                       uint64_t seq, WallTimer submit_timer,
-                       bool publish_to_cache,
+  QueryResult RunQuery(const QueryRequest& request, uint64_t seq,
+                       WallTimer submit_timer, bool publish_to_cache,
                        std::chrono::steady_clock::time_point deadline);
   static std::future<QueryResult> ReadyResult(QueryResult result);
 
   QueryServiceOptions options_;
-  /// Stable Engine storage: workers hold Engine* across AddEngine calls.
-  std::vector<std::unique_ptr<Engine>> engines_;
+  /// The engine: registered name and leader, written once under mu_ by
+  /// the first successful AddEngine*() and never again, so workers read
+  /// them without the lock.
+  std::string algo_;
+  std::unique_ptr<SingleSourceSimRank> leader_;
+  /// One lazily minted clone per pool worker; slot w is touched only by
+  /// worker w, so no lock is needed.
+  std::vector<std::unique_ptr<SingleSourceSimRank>> clones_;
 
   /// The result cache (null when cache_bytes = 0). Owns its own mutex;
   /// never acquired while mu_ is held (and vice versa), so there is no
@@ -273,7 +264,7 @@ class QueryService {
   size_t inflight_ = 0;
   size_t inflight_high_water_ = 0;
   QueryCost aggregate_cost_;
-  StreamingPercentiles latencies_{4096};  ///< latency percentile reservoir
+  LatencyHistogram latencies_;
 
   /// Declared last: destroyed first, so the pool drains (tasks touch the
   /// members above) before anything else dies.

@@ -19,42 +19,18 @@ size_t EntryCost(const ScoreList& scores) {
 ResultCache::ResultCache(size_t byte_budget)
     : budget_(byte_budget), lru_(byte_budget) {}
 
-uint32_t ResultCache::RegisterEngine(const std::string& algo,
-                                     uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (uint32_t id = 0; id < registered_.size(); ++id) {
-    if (registered_[id].first != algo) continue;
-    if (registered_[id].second != fingerprint) {
-      // The engine behind this algo changed (graph, options, or seed):
-      // every cached vector it produced is stale. Purge wholesale. Keys
-      // are immutable, so entries published by still-in-flight leaders of
-      // the OLD fingerprint can never match a new-fingerprint lookup —
-      // they age out as ordinary LRU garbage.
-      const size_t purged =
-          lru_.EraseIf([id](const ResultCacheKey& key) {
-            return key.algo_id == id;
-          });
-      invalidated_ += purged;
-      registered_[id].second = fingerprint;
-    }
-    return id;
-  }
-  registered_.emplace_back(algo, fingerprint);
-  return static_cast<uint32_t>(registered_.size() - 1);
-}
-
-ResultCache::Ticket ResultCache::Lookup(const ResultCacheKey& key, uint32_t k,
+ResultCache::Ticket ResultCache::Lookup(NodeId source, uint32_t k,
                                         WallTimer timer) {
   Ticket ticket;
   std::lock_guard<std::mutex> lock(mu_);
-  if (std::shared_ptr<const ScoreList>* cached = lru_.Get(key)) {
+  if (std::shared_ptr<const ScoreList>* cached = lru_.Get(source)) {
     ++hits_;
     ticket.role = Role::kHit;
     ticket.hit_scores = *cached;
     return ticket;
   }
   for (auto& flight : flights_) {
-    if (flight->key == key) {
+    if (flight->source == source) {
       ++coalesced_;
       ticket.role = Role::kWaiter;
       Waiter waiter;
@@ -67,20 +43,20 @@ ResultCache::Ticket ResultCache::Lookup(const ResultCacheKey& key, uint32_t k,
   }
   ++misses_;
   auto flight = std::make_unique<Flight>();
-  flight->key = key;
+  flight->source = source;
   flights_.push_back(std::move(flight));
   ticket.role = Role::kLeader;
   return ticket;
 }
 
 ResultCache::PublishResult ResultCache::Publish(
-    const ResultCacheKey& key, const Status& status,
+    NodeId source, const Status& status,
     const std::shared_ptr<const ScoreList>& scores) {
   std::vector<Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < flights_.size(); ++i) {
-      if (flights_[i]->key == key) {
+      if (flights_[i]->source == source) {
         waiters = std::move(flights_[i]->waiters);
         flights_[i] = std::move(flights_.back());
         flights_.pop_back();
@@ -90,7 +66,7 @@ ResultCache::PublishResult ResultCache::Publish(
     if (status.ok()) {
       PRSIM_CHECK(scores != nullptr)
           << "ResultCache::Publish: OK status requires scores";
-      lru_.Put(key, scores, EntryCost(*scores));
+      lru_.Put(source, scores, EntryCost(*scores));
     }
   }
   // Fulfill promises outside the lock: set_value runs waiter-side
@@ -101,7 +77,7 @@ ResultCache::PublishResult ResultCache::Publish(
     if (status.ok()) {
       const double latency = waiter.timer.Seconds();
       waiter.promise.set_value(
-          CachedResult(scores, waiter.k, key.source, latency));
+          CachedResult(scores, waiter.k, source, latency));
       ++published.ok_waiters;
       published.waiter_latencies.push_back(latency);
     } else {
@@ -128,7 +104,6 @@ ResultCacheStats ResultCache::Stats() const {
   stats.misses = misses_;
   stats.coalesced = coalesced_;
   stats.evictions = lru_.evictions();
-  stats.invalidated = invalidated_;
   stats.bytes = lru_.bytes();
   stats.entries = lru_.size();
   return stats;

@@ -1,15 +1,19 @@
 // ResultCache — hot-source score-vector cache with singleflight coalescing.
 //
 // The serving determinism contract makes caching safe for exactly one
-// request shape: a `fresh_seed` query is a pure function of (engine
-// fingerprint, leader seed, algo, source) — the engine reseeds to the
-// leader seed before answering, so a cached reply is byte-identical to a
-// recomputed one. Positional-seed requests (the default BatchQuery-replay
-// semantics, and the shard router's explicit `seed_position`) are
-// position-dependent BY DESIGN: the same (algo, source) pair answered at
-// stream positions 3 and 7 must produce two different sampled score
-// vectors. Those requests MUST bypass this cache entirely — QueryService
-// only consults it when `request.fresh_seed` is set.
+// request shape: a `fresh_seed` query is a pure function of (engine,
+// leader seed, source) — the engine reseeds to the leader seed before
+// answering, so a cached reply is byte-identical to a recomputed one.
+// Positional-seed requests (the default BatchQuery-replay semantics, and
+// the shard router's explicit `seed_position`) are position-dependent BY
+// DESIGN: the same source answered at stream positions 3 and 7 must
+// produce two different sampled score vectors. Those requests MUST bypass
+// this cache entirely — QueryService only consults it when
+// `request.fresh_seed` is set.
+//
+// Key: the source alone. A cache belongs to one QueryService, which holds
+// exactly one engine with one leader seed for its whole life, so the
+// engine and seed are constant across every key and need no place in it.
 //
 // What is cached: the FULL single-source score vector (k = 0 shape).
 // Top-k replies are derived on hit with core/single_source.h's TopK —
@@ -27,11 +31,6 @@
 // queue-to-publish latency). N concurrent identical misses therefore cost
 // one engine query.
 //
-// Invalidation: RegisterEngine(algo, fingerprint) purges the algo's
-// entries whenever the fingerprint differs from the previous registration
-// (graph/options/seed changed), so a service re-pointed at a new artifact
-// can never serve stale vectors.
-//
 // Thread safe. One internal mutex guards the LRU and the flight table;
 // waiter promises are always fulfilled outside the lock.
 
@@ -42,8 +41,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/query_service.h"
@@ -53,36 +50,6 @@
 
 namespace prsim {
 
-/// Cache identity of a fresh_seed answer. POD, equality-compared in full;
-/// algo_id is the ResultCache-local index handed out by RegisterEngine.
-struct ResultCacheKey {
-  uint64_t fingerprint = 0;
-  uint64_t seed = 0;
-  NodeId source = 0;
-  uint32_t algo_id = 0;
-
-  friend bool operator==(const ResultCacheKey& a, const ResultCacheKey& b) {
-    return a.fingerprint == b.fingerprint && a.seed == b.seed &&
-           a.source == b.source && a.algo_id == b.algo_id;
-  }
-};
-
-struct ResultCacheKeyHash {
-  uint64_t operator()(const ResultCacheKey& key) const {
-    // splitmix64-style mix over the four fields; FlatHashMap2 applies its
-    // own wyhash-style finalizer on top.
-    uint64_t h = key.fingerprint;
-    auto mix = [&h](uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      h *= 0xff51afd7ed558ccdULL;
-      h ^= h >> 33;
-    };
-    mix(key.seed);
-    mix((uint64_t{key.source} << 32) | key.algo_id);
-    return h;
-  }
-};
-
 /// Point-in-time counters. hits/misses/coalesced partition the fresh_seed
 /// lookup stream: every Lookup() is exactly one of the three.
 struct ResultCacheStats {
@@ -90,9 +57,8 @@ struct ResultCacheStats {
   uint64_t misses = 0;     ///< became a leader (one engine query each)
   uint64_t coalesced = 0;  ///< joined an in-flight leader (no engine query)
   uint64_t evictions = 0;  ///< entries dropped by the byte budget
-  uint64_t invalidated = 0;  ///< entries purged by fingerprint changes
-  uint64_t bytes = 0;        ///< current cached payload bytes (gauge)
-  uint64_t entries = 0;      ///< current cached entry count (gauge)
+  uint64_t bytes = 0;      ///< current cached payload bytes (gauge)
+  uint64_t entries = 0;    ///< current cached entry count (gauge)
 };
 
 class ResultCache {
@@ -101,11 +67,6 @@ class ResultCache {
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
-
-  /// Registers (or re-registers) an algorithm and returns its algo_id. A
-  /// re-registration with a different fingerprint purges every entry the
-  /// algo had cached; the same fingerprint keeps them.
-  uint32_t RegisterEngine(const std::string& algo, uint64_t fingerprint);
 
   enum class Role { kHit, kLeader, kWaiter };
 
@@ -118,25 +79,26 @@ class ResultCache {
     std::future<QueryResult> waiter_future;
   };
 
-  /// Atomic hit / join / lead decision for one fresh_seed request. For a
-  /// kWaiter ticket, `k` shapes the eventual reply and `timer` (started at
-  /// Submit) prices its latency at publish time. A kLeader caller MUST
-  /// call Publish(key, ...) exactly once, on every path — success, engine
-  /// failure, or queue rejection — or its waiters hang forever.
-  Ticket Lookup(const ResultCacheKey& key, uint32_t k, WallTimer timer);
+  /// Atomic hit / join / lead decision for one fresh_seed request on
+  /// `source`. For a kWaiter ticket, `k` shapes the eventual reply and
+  /// `timer` (started at Submit) prices its latency at publish time. A
+  /// kLeader caller MUST call Publish(source, ...) exactly once, on every
+  /// path — success, engine failure, or queue rejection — or its waiters
+  /// hang forever.
+  Ticket Lookup(NodeId source, uint32_t k, WallTimer timer);
 
   /// What Publish did, so the service can fold waiter completions into its
-  /// own counters/latency reservoir (waiters never touch the queue).
+  /// own counters/latency histogram (waiters never touch the queue).
   struct PublishResult {
     size_t ok_waiters = 0;
     size_t failed_waiters = 0;
     std::vector<double> waiter_latencies;  ///< one per ok waiter
   };
 
-  /// Completes the flight for `key`: on OK caches `scores` (subject to the
-  /// byte budget) and answers every waiter from it; on failure propagates
-  /// `status` to the waiters. Promises are fulfilled outside the lock.
-  PublishResult Publish(const ResultCacheKey& key, const Status& status,
+  /// Completes the flight for `source`: on OK caches `scores` (subject to
+  /// the byte budget) and answers every waiter from it; on failure
+  /// propagates `status` to the waiters. Promises are fulfilled outside the lock.
+  PublishResult Publish(NodeId source, const Status& status,
                         const std::shared_ptr<const ScoreList>& scores);
 
   /// Shapes a cached full vector into a QueryResult: k = 0 copies the
@@ -158,12 +120,11 @@ class ResultCache {
   };
 
   struct Flight {
-    ResultCacheKey key;
+    NodeId source = 0;
     std::vector<Waiter> waiters;
   };
 
-  using Lru = LruCache<ResultCacheKey, std::shared_ptr<const ScoreList>,
-                       ResultCacheKeyHash>;
+  using Lru = LruCache<NodeId, std::shared_ptr<const ScoreList>>;
 
   const size_t budget_;
 
@@ -172,13 +133,9 @@ class ResultCache {
   /// In-flight leaders. Linear scan: the population is bounded by the
   /// number of concurrently executing distinct misses (<= queue depth).
   std::vector<std::unique_ptr<Flight>> flights_;
-  /// algo name -> (algo_id, fingerprint) in registration order; algo_id is
-  /// the vector index.
-  std::vector<std::pair<std::string, uint64_t>> registered_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t coalesced_ = 0;
-  uint64_t invalidated_ = 0;
 };
 
 }  // namespace prsim

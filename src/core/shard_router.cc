@@ -118,7 +118,7 @@ std::future<QueryResult> ShardRouter::SubmitRequest(QueryRequest request) {
 
 ServiceStats ShardRouter::Stats() const {
   ServiceStats total;
-  std::vector<double> samples;
+  LatencyHistogram latencies;
   for (const auto& service : services_) {
     const ServiceStats stats = service->Stats();
     total.submitted += stats.submitted;
@@ -135,15 +135,13 @@ ServiceStats ShardRouter::Stats() const {
     total.cache_evictions += stats.cache_evictions;
     total.cache_bytes += stats.cache_bytes;
     total.aggregate_cost.Accumulate(stats.aggregate_cost);
-    const std::vector<double> part = service->LatencySamples();
-    samples.insert(samples.end(), part.begin(), part.end());
+    latencies.Merge(service->Latencies());
   }
   total.deadline_exceeded +=
       expired_at_router_.load(std::memory_order_relaxed);
-  std::sort(samples.begin(), samples.end());
-  total.p50_seconds = SortedQuantile(samples, 0.50);
-  total.p95_seconds = SortedQuantile(samples, 0.95);
-  total.p99_seconds = SortedQuantile(samples, 0.99);
+  total.p50_seconds = latencies.Quantile(0.50);
+  total.p95_seconds = latencies.Quantile(0.95);
+  total.p99_seconds = latencies.Quantile(0.99);
   total.aggregate_cost.latency_p50_seconds = total.p50_seconds;
   total.aggregate_cost.latency_p95_seconds = total.p95_seconds;
   total.aggregate_cost.latency_p99_seconds = total.p99_seconds;

@@ -86,8 +86,9 @@ class ShardRouter {
   std::future<QueryResult> SubmitRequest(QueryRequest request);
 
   /// Aggregated view over all shard services: counters summed, cost
-  /// counters accumulated, and percentiles recomputed over the pooled
-  /// latency reservoirs (not averaged per-shard quantiles).
+  /// counters accumulated, and percentiles read from the sum of the
+  /// shards' latency histograms, so every request weighs the same
+  /// whichever shard served it.
   ServiceStats Stats() const;
 
  private:

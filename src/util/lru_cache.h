@@ -1,27 +1,17 @@
 // LruCache — generic byte-budgeted LRU used by the hot-source result cache
 // (core/result_cache.h).
 //
-// Design:
-//  * Entries live in a flat `std::vector<Node>`; the recency order is an
-//    intrusive doubly-linked list of node indices threaded through the
-//    vector (head = most recent, tail = eviction victim). Moving an entry
-//    to the front is four index writes — no allocation, no pointer chasing
-//    beyond the node itself.
-//  * The key index is a FlatHashMap2<uint32_t> mapping the 64-bit key hash
-//    to a node index. FlatHashMap2 has no erase, so evicted/erased nodes
-//    simply leave a stale index entry behind; every probe validates that
-//    the target node is live AND stores the same hash AND compares equal on
-//    the full key. Once the stale population exceeds the live population
-//    (plus a small constant), the index is rebuilt from the live nodes —
-//    amortized O(1) per mutation.
-//  * Eviction is cost-aware: each entry carries a caller-supplied byte cost
-//    and entries are evicted from the LRU tail until the running total fits
-//    the budget. A single entry costlier than the whole budget is refused
-//    by Put (returns false) rather than thrashing the cache.
-//  * Two distinct live keys that collide on the full 64-bit hash cannot
-//    coexist: the newcomer replaces the incumbent (counted as an eviction).
-//    With a 64-bit hash over struct keys this is a theoretical case; for a
-//    cache (not a map) dropping the incumbent is semantically safe.
+// Design: the textbook LRU. A std::list holds the entries in recency order
+// (front = most recent, back = eviction victim) and a std::unordered_map
+// indexes each key to its list node; eviction erases from both. The cache
+// is touched once per request, so node allocations are noise next to the
+// query it saves, and the standard containers keep the hot-path
+// FlatHashMap2 free of erase.
+//
+// Eviction is cost-aware: each entry carries a caller-supplied byte cost
+// and entries are evicted from the LRU tail until the running total fits
+// the budget. A single entry costlier than the whole budget is refused by
+// Put (returns false) rather than thrashing the cache.
 //
 // Not thread safe — callers hold their own lock (ResultCache wraps one
 // mutex around an LruCache plus the singleflight table).
@@ -31,18 +21,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "util/flat_hash_map2.h"
-#include "util/logging.h"
-
 namespace prsim {
 
-/// Byte-budgeted LRU map. `Hash` must be a stateless functor returning a
-/// well-mixed uint64_t; `Key` must be equality comparable and cheap to
-/// copy; `Value` may be move-only.
-template <typename Key, typename Value, typename Hash>
+/// Byte-budgeted LRU map. `Key` must be hashable by std::hash and equality
+/// comparable; `Value` may be move-only.
+template <typename Key, typename Value>
 class LruCache {
  public:
   explicit LruCache(size_t byte_budget) : budget_(byte_budget) {}
@@ -53,14 +41,14 @@ class LruCache {
   /// Returns the cached value and promotes the entry to most-recent, or
   /// nullptr on miss. Counts a hit or a miss.
   Value* Get(const Key& key) {
-    const uint32_t idx = FindNode(key);
-    if (idx == kNil) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
       ++misses_;
       return nullptr;
     }
     ++hits_;
-    MoveToFront(idx);
-    return &nodes_[idx].value;
+    entries_.splice(entries_.begin(), entries_, it->second);
+    return &it->second->value;
   }
 
   /// Inserts or overwrites `key` with `value`, charging `cost_bytes`
@@ -68,74 +56,40 @@ class LruCache {
   /// false (and caches nothing) when cost_bytes alone exceeds the budget.
   bool Put(const Key& key, Value value, size_t cost_bytes) {
     if (cost_bytes > budget_) return false;
-    const uint64_t hash = Hash()(key);
-    uint32_t idx = FindNode(key, hash);
-    if (idx != kNil) {
-      // Overwrite in place (also covers a full-hash collision: FindNode
-      // only matches equal keys, so a colliding different key is handled
-      // by the stale-index branch below).
-      bytes_ -= nodes_[idx].cost;
-      nodes_[idx].value = std::move(value);
-      nodes_[idx].cost = cost_bytes;
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      // Overwrite in place, re-costed and promoted.
+      Entry& entry = *it->second;
+      bytes_ = bytes_ - entry.cost + cost_bytes;
+      entry.value = std::move(value);
+      entry.cost = cost_bytes;
+      entries_.splice(entries_.begin(), entries_, it->second);
+    } else {
+      entries_.push_front(Entry{key, std::move(value), cost_bytes});
+      index_.emplace(key, entries_.begin());
       bytes_ += cost_bytes;
-      MoveToFront(idx);
-      EvictToFit(idx);
-      return true;
     }
-    idx = AllocateNode();
-    Node& node = nodes_[idx];
-    node.key = key;
-    node.value = std::move(value);
-    node.hash = hash;
-    node.cost = cost_bytes;
-    node.live = true;
-    LinkFront(idx);
-    ++size_;
-    bytes_ += cost_bytes;
-    // The index may hold a stale entry for this hash (an evicted node, or
-    // a different live key colliding on all 64 hash bits). Overwriting the
-    // slot revives a stale entry; a colliding live incumbent is dropped.
-    uint32_t& slot = index_[hash];
-    if (slot != idx && slot < nodes_.size() && nodes_[slot].live &&
-        nodes_[slot].hash == hash) {
-      EvictNode(slot);  // full-hash collision: newcomer wins
-    } else if (dead_keys_ > 0 && slot != 0) {
-      // Heuristic: a pre-existing non-default slot value was stale.
-      --dead_keys_;
+    // The front entry fits by the precondition, so the loop stops before
+    // reaching it.
+    while (bytes_ > budget_) {
+      const Entry& victim = entries_.back();
+      bytes_ -= victim.cost;
+      index_.erase(victim.key);
+      entries_.pop_back();
+      ++evictions_;
     }
-    slot = idx;
-    EvictToFit(idx);
-    MaybeRebuildIndex();
     return true;
-  }
-
-  /// Erases every entry for which `pred(key)` returns true; returns the
-  /// number erased. O(capacity).
-  template <typename Pred>
-  size_t EraseIf(Pred pred) {
-    size_t erased = 0;
-    for (uint32_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].live && pred(nodes_[i].key)) {
-        EvictNode(i, /*count_eviction=*/false);
-        ++erased;
-      }
-    }
-    MaybeRebuildIndex();
-    return erased;
   }
 
   /// Drops every entry. Counters (hits/misses/evictions) are preserved;
   /// bytes and size go to zero.
   void Clear() {
-    nodes_.clear();
+    entries_.clear();
     index_.clear();
-    head_ = tail_ = free_head_ = kNil;
-    size_ = 0;
     bytes_ = 0;
-    dead_keys_ = 0;
   }
 
-  size_t size() const { return size_; }
+  size_t size() const { return entries_.size(); }
   size_t bytes() const { return bytes_; }
   size_t budget() const { return budget_; }
   uint64_t hits() const { return hits_; }
@@ -145,120 +99,22 @@ class LruCache {
   /// Keys ordered most-recent first. O(size); for tests and debugging.
   std::vector<Key> KeysByRecency() const {
     std::vector<Key> keys;
-    keys.reserve(size_);
-    for (uint32_t i = head_; i != kNil; i = nodes_[i].next) {
-      keys.push_back(nodes_[i].key);
-    }
+    keys.reserve(entries_.size());
+    for (const Entry& entry : entries_) keys.push_back(entry.key);
     return keys;
   }
 
  private:
-  static constexpr uint32_t kNil = UINT32_MAX;
-
-  struct Node {
-    Key key{};
-    Value value{};
-    uint64_t hash = 0;
+  struct Entry {
+    Key key;
+    Value value;
     size_t cost = 0;
-    uint32_t prev = kNil;
-    uint32_t next = kNil;
-    bool live = false;
   };
 
-  uint32_t FindNode(const Key& key) const { return FindNode(key, Hash()(key)); }
-
-  uint32_t FindNode(const Key& key, uint64_t hash) const {
-    const uint32_t* slot = index_.Find(hash);
-    if (slot == nullptr) return kNil;
-    const uint32_t idx = *slot;
-    if (idx >= nodes_.size()) return kNil;  // stale after Clear
-    const Node& node = nodes_[idx];
-    if (!node.live || node.hash != hash || !(node.key == key)) return kNil;
-    return idx;
-  }
-
-  uint32_t AllocateNode() {
-    if (free_head_ != kNil) {
-      const uint32_t idx = free_head_;
-      free_head_ = nodes_[idx].next;
-      return idx;
-    }
-    PRSIM_CHECK(nodes_.size() < kNil) << "LruCache: node count overflow";
-    nodes_.emplace_back();
-    return static_cast<uint32_t>(nodes_.size() - 1);
-  }
-
-  void LinkFront(uint32_t idx) {
-    Node& node = nodes_[idx];
-    node.prev = kNil;
-    node.next = head_;
-    if (head_ != kNil) nodes_[head_].prev = idx;
-    head_ = idx;
-    if (tail_ == kNil) tail_ = idx;
-  }
-
-  void Unlink(uint32_t idx) {
-    Node& node = nodes_[idx];
-    if (node.prev != kNil) {
-      nodes_[node.prev].next = node.next;
-    } else {
-      head_ = node.next;
-    }
-    if (node.next != kNil) {
-      nodes_[node.next].prev = node.prev;
-    } else {
-      tail_ = node.prev;
-    }
-    node.prev = node.next = kNil;
-  }
-
-  void MoveToFront(uint32_t idx) {
-    if (head_ == idx) return;
-    Unlink(idx);
-    LinkFront(idx);
-  }
-
-  void EvictNode(uint32_t idx, bool count_eviction = true) {
-    Node& node = nodes_[idx];
-    Unlink(idx);
-    bytes_ -= node.cost;
-    --size_;
-    node.live = false;
-    node.value = Value();  // release payload (e.g. shared_ptr refcount)
-    node.next = free_head_;
-    free_head_ = idx;
-    ++dead_keys_;  // its index entry is now stale
-    if (count_eviction) ++evictions_;
-  }
-
-  /// Evicts LRU-tail entries until bytes_ <= budget_, never evicting
-  /// `protect` (the entry just inserted — it fits by the Put precondition).
-  void EvictToFit(uint32_t protect) {
-    while (bytes_ > budget_ && tail_ != kNil) {
-      if (tail_ == protect) break;  // unreachable given cost <= budget
-      EvictNode(tail_);
-    }
-  }
-
-  void MaybeRebuildIndex() {
-    if (dead_keys_ <= size_ + 64) return;
-    FlatHashMap2<uint32_t> fresh(size_ * 2 + 16);
-    for (uint32_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].live) fresh[nodes_[i].hash] = i;
-    }
-    index_ = std::move(fresh);
-    dead_keys_ = 0;
-  }
-
   const size_t budget_;
-  std::vector<Node> nodes_;
-  FlatHashMap2<uint32_t> index_;
-  uint32_t head_ = kNil;
-  uint32_t tail_ = kNil;
-  uint32_t free_head_ = kNil;
-  size_t size_ = 0;
+  std::list<Entry> entries_;
+  std::unordered_map<Key, typename std::list<Entry>::iterator> index_;
   size_t bytes_ = 0;
-  size_t dead_keys_ = 0;  // stale index entries pointing at dead nodes
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

@@ -953,6 +953,16 @@ TEST_F(CliTest, CacheMbAndCountFlagValidation) {
   EXPECT_EQ(Run("serve --graph " + Path("g.txt") +
                 " --stdin --algo prsim --cache-mb -1"),
             2);
+  // 2^44 MiB is 2^64 bytes: the budget would wrap to 0 and silently turn
+  // the cache off. Refused before any serving, even with nothing to serve
+  // on stdin.
+  EXPECT_EQ(Run("serve --graph " + Path("g.txt") +
+                " --stdin --algo prsim --cache-mb 17592186044416 < /dev/null"),
+            2);
+  // The largest budget that fits is accepted.
+  EXPECT_EQ(Run("serve --graph " + Path("g.txt") +
+                " --stdin --algo prsim --cache-mb 17592186044415 < /dev/null"),
+            0);
   // `query` has no result cache: a batch is positional, so never
   // cacheable, and a one-shot has nothing to hit. The flag is unknown.
   EXPECT_EQ(

@@ -1,30 +1,23 @@
 // Unit tests for util/lru_cache.h: recency order, byte-budgeted eviction,
-// oversized-entry refusal, EraseIf, counters, and the stale-index rebuild
-// path that FlatHashMap2's no-erase design forces.
+// oversized-entry refusal, overwrite re-costing, counters, and a long
+// random churn checked against a naive reference LRU.
 
 #include "util/lru_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace prsim {
 namespace {
 
-// splitmix64 — a well-mixed stateless hash as the LruCache contract asks.
-struct U64Hash {
-  uint64_t operator()(uint64_t x) const {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-};
-
-using Cache = LruCache<uint64_t, std::string, U64Hash>;
+using Cache = LruCache<uint64_t, std::string>;
 
 TEST(LruCacheTest, GetReturnsWhatPutStored) {
   Cache cache(1024);
@@ -116,25 +109,6 @@ TEST(LruCacheTest, HitAndMissCountersPartitionLookups) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(LruCacheTest, EraseIfDropsMatchingEntriesWithoutCountingEvictions) {
-  Cache cache(1000);
-  for (uint64_t key = 0; key < 10; ++key) {
-    ASSERT_TRUE(cache.Put(key, "v", 10));
-  }
-  const size_t erased = cache.EraseIf([](uint64_t key) { return key % 2 == 0; });
-  EXPECT_EQ(erased, 5u);
-  EXPECT_EQ(cache.size(), 5u);
-  EXPECT_EQ(cache.bytes(), 50u);
-  EXPECT_EQ(cache.evictions(), 0u) << "EraseIf is invalidation, not pressure";
-  for (uint64_t key = 0; key < 10; ++key) {
-    if (key % 2 == 0) {
-      EXPECT_EQ(cache.Get(key), nullptr) << key;
-    } else {
-      EXPECT_NE(cache.Get(key), nullptr) << key;
-    }
-  }
-}
-
 TEST(LruCacheTest, ClearDropsEverythingButKeepsCounters) {
   Cache cache(100);
   ASSERT_TRUE(cache.Put(1, "x", 10));
@@ -151,37 +125,97 @@ TEST(LruCacheTest, ClearDropsEverythingButKeepsCounters) {
   ASSERT_NE(cache.Get(3), nullptr);
 }
 
-TEST(LruCacheTest, SurvivesHeavyChurnThroughIndexRebuilds) {
-  // Thousands of evictions leave stale FlatHashMap2 slots behind; the
-  // amortized rebuild must keep lookups exact throughout. Budget holds 8
-  // entries, keys cycle through a window much larger than that.
-  Cache cache(80);
-  uint64_t inserted = 0;
-  for (uint64_t round = 0; round < 50; ++round) {
-    for (uint64_t key = 0; key < 100; ++key) {
-      ASSERT_TRUE(cache.Put(key, std::to_string(key), 10));
-      ++inserted;
-      ASSERT_LE(cache.bytes(), cache.budget());
-      ASSERT_EQ(cache.bytes(), cache.size() * 10);
+/// The byte-budgeted LRU policy spelled out as naively as possible: a
+/// vector of (key, cost) pairs, most recent first.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t budget) : budget_(budget) {}
+
+  bool Get(uint64_t key) {
+    const auto it = Find(key);
+    if (it == entries_.end()) return false;
+    std::rotate(entries_.begin(), it, it + 1);
+    return true;
+  }
+
+  bool Put(uint64_t key, size_t cost) {
+    if (cost > budget_) return false;
+    const auto it = Find(key);
+    if (it != entries_.end()) entries_.erase(it);
+    entries_.insert(entries_.begin(), {key, cost});
+    while (Bytes() > budget_) {
+      entries_.pop_back();
+      ++evictions_;
     }
+    return true;
   }
-  EXPECT_EQ(cache.size(), 8u);
-  // The last 8 keys inserted (92..99) are resident, in reverse order.
-  const std::vector<uint64_t> order = cache.KeysByRecency();
-  ASSERT_EQ(order.size(), 8u);
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], 99u - i);
+
+  size_t Bytes() const {
+    size_t bytes = 0;
+    for (const auto& entry : entries_) bytes += entry.second;
+    return bytes;
   }
-  for (uint64_t key = 92; key < 100; ++key) {
-    ASSERT_NE(cache.Get(key), nullptr) << key;
-    EXPECT_EQ(*cache.Get(key), std::to_string(key));
+  std::vector<uint64_t> Keys() const {
+    std::vector<uint64_t> keys;
+    for (const auto& entry : entries_) keys.push_back(entry.first);
+    return keys;
   }
-  EXPECT_EQ(cache.Get(0), nullptr);
-  EXPECT_EQ(cache.evictions(), inserted - 8u);
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  std::vector<std::pair<uint64_t, size_t>>::iterator Find(uint64_t key) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [key](const auto& entry) { return entry.first == key; });
+  }
+
+  size_t budget_;
+  std::vector<std::pair<uint64_t, size_t>> entries_;
+  uint64_t evictions_ = 0;
+};
+
+TEST(LruCacheTest, HeavyChurnMatchesReferenceModel) {
+  // Thousands of evictions from a key window much larger than the budget,
+  // with overwrites that re-cost, promoting Gets, and refused oversized
+  // Puts mixed in. After every operation the cache must agree with the
+  // reference on the answer, the recency order, the bytes and the
+  // eviction count.
+  constexpr size_t kBudget = 80;
+  Cache cache(kBudget);
+  ReferenceLru reference(kBudget);
+  std::mt19937_64 rng(42);
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t key = rng() % 100;
+    if (rng() % 3 == 0) {
+      const bool hit = reference.Get(key);
+      const std::string* value = cache.Get(key);
+      ASSERT_EQ(value != nullptr, hit) << "op " << op;
+      if (hit) {
+        ++hits;
+        EXPECT_EQ(*value, std::to_string(key));
+      } else {
+        ++misses;
+      }
+    } else {
+      const size_t cost = 1 + rng() % 85;  // > kBudget is refused
+      ASSERT_EQ(cache.Put(key, std::to_string(key), cost),
+                reference.Put(key, cost))
+          << "op " << op;
+    }
+    ASSERT_EQ(cache.KeysByRecency(), reference.Keys()) << "op " << op;
+    ASSERT_EQ(cache.bytes(), reference.Bytes());
+    ASSERT_LE(cache.bytes(), cache.budget());
+    ASSERT_EQ(cache.size(), reference.Keys().size());
+    ASSERT_EQ(cache.evictions(), reference.evictions());
+  }
+  EXPECT_GT(cache.evictions(), 1000u);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
 }
 
 TEST(LruCacheTest, MoveOnlyValuesWork) {
-  LruCache<uint64_t, std::unique_ptr<int>, U64Hash> cache(100);
+  LruCache<uint64_t, std::unique_ptr<int>> cache(100);
   ASSERT_TRUE(cache.Put(1, std::make_unique<int>(42), 10));
   auto* value = cache.Get(1);
   ASSERT_NE(value, nullptr);

@@ -165,15 +165,16 @@ TEST(QueryServiceTest, TopKRequestsReturnTopK) {
   EXPECT_EQ(result.scores, TopK(expected[0], 4, 5));
 }
 
-TEST(QueryServiceTest, EmptyAlgoSelectsFirstRegisteredEngine) {
+TEST(QueryServiceTest, EmptyAlgoSelectsTheServicesEngine) {
   const Graph g = MakeRandomDigraph(60, 200, /*seed=*/8);
   QueryServiceOptions options;
   options.threads = 1;
   QueryService service(options);
   ASSERT_TRUE(service.AddEngine("probesim", g, ParseConfig("eps=0.4")).ok());
-  EXPECT_EQ(service.Algos(), std::vector<std::string>{"probesim"});
   const QueryResult result = service.Submit({"", 3, 5}).get();
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  const QueryResult named = service.Submit({"probesim", 3, 5}).get();
+  EXPECT_TRUE(named.status.ok()) << named.status.ToString();
 }
 
 TEST(QueryServiceTest, InvalidRequestsFailWithoutPoisoningTheService) {
@@ -196,17 +197,27 @@ TEST(QueryServiceTest, InvalidRequestsFailWithoutPoisoningTheService) {
   EXPECT_EQ(service.pending(), 0u);
 }
 
-TEST(QueryServiceTest, RegistrationIsRejectedAfterFirstSubmit) {
+TEST(QueryServiceTest, SecondEngineIsAlreadyExistsBeforeAndAfterSubmit) {
+  // A service holds one engine: a second one of any name is refused,
+  // whether requests have been served yet or not, and the first keeps
+  // answering.
   const Graph g = MakeRandomDigraph(60, 200, /*seed=*/8);
   QueryServiceOptions options;
   options.threads = 1;
   QueryService service(options);
   ASSERT_TRUE(service.AddEngine("prsim", g, ParseConfig("eps=0.4")).ok());
-  ASSERT_EQ(service.AddEngine("prsim", g, ParseConfig("eps=0.4")).code(),
+  EXPECT_EQ(service.AddEngine("prsim", g, ParseConfig("eps=0.4")).code(),
             StatusCode::kAlreadyExists);
-  service.Submit({"prsim", 1, 3}).get();
   EXPECT_EQ(service.AddEngine("probesim", g, ParseConfig("eps=0.4")).code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(service.Submit({"prsim", 1, 3}).get().status.ok());
+  EXPECT_EQ(service.AddEngine("prsim", g, ParseConfig("eps=0.4")).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(service.AddEngine("probesim", g, ParseConfig("eps=0.4")).code(),
+            StatusCode::kAlreadyExists);
+  const QueryResult foreign = service.Submit({"probesim", 1, 3}).get();
+  EXPECT_EQ(foreign.status.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(service.Submit({"prsim", 2, 3}).get().status.ok());
 }
 
 TEST(QueryServiceTest, ColdStartFromIndexMatchesFreshEngine) {

@@ -7,8 +7,9 @@
 //    traffic
 //  * singleflight collapses K concurrent identical misses into one engine
 //    query (run under TSan via the concurrency label)
-//  * the byte budget evicts in LRU order; fingerprint changes invalidate
-//  * a rejected or failed leader still resolves its waiters
+//  * the byte budget evicts in LRU order
+//  * a rejected or failed leader still resolves its waiters, and they are
+//    counted as failed
 
 #include "core/result_cache.h"
 
@@ -65,25 +66,24 @@ ScoreList MakeScores(std::initializer_list<ScoreEntry> entries) {
 
 TEST(ResultCacheTest, LeaderPublishesThenIdenticalLookupHits) {
   ResultCache cache(1 << 20);
-  const uint32_t algo_id = cache.RegisterEngine("prsim", /*fingerprint=*/111);
-  const ResultCacheKey key{111, 7, 3, algo_id};
+  const NodeId source = 3;
 
-  auto first = cache.Lookup(key, /*k=*/0, WallTimer());
+  auto first = cache.Lookup(source, /*k=*/0, WallTimer());
   ASSERT_EQ(first.role, ResultCache::Role::kLeader);
   const auto scores = std::make_shared<const ScoreList>(
       MakeScores({{3, 1.0}, {4, 0.5}, {5, 0.25}}));
-  const auto published = cache.Publish(key, Status::OK(), scores);
+  const auto published = cache.Publish(source, Status::OK(), scores);
   EXPECT_EQ(published.ok_waiters, 0u);
   EXPECT_EQ(published.failed_waiters, 0u);
 
-  auto hit = cache.Lookup(key, /*k=*/0, WallTimer());
+  auto hit = cache.Lookup(source, /*k=*/0, WallTimer());
   ASSERT_EQ(hit.role, ResultCache::Role::kHit);
   ASSERT_NE(hit.hit_scores, nullptr);
   EXPECT_EQ(*hit.hit_scores, *scores);
 
-  // A different source is a distinct key: new leader. Publish to keep the
+  // A different source is a distinct entry: new leader. Publish to keep the
   // leader contract (and so the flight table drains).
-  const ResultCacheKey other{111, 7, 4, algo_id};
+  const NodeId other = 4;
   EXPECT_EQ(cache.Lookup(other, 0, WallTimer()).role,
             ResultCache::Role::kLeader);
   cache.Publish(other, Status::OK(), scores);
@@ -115,39 +115,6 @@ TEST(ResultCacheTest, CachedResultDerivesTopKWithEngineTieBreaking) {
   EXPECT_EQ(top.scores[1].first, 1u);
 }
 
-TEST(ResultCacheTest, ReRegistrationInvalidatesOnlyOnFingerprintChange) {
-  ResultCache cache(1 << 20);
-  const uint32_t prsim_id = cache.RegisterEngine("prsim", 111);
-  const uint32_t sling_id = cache.RegisterEngine("sling", 222);
-  const auto scores =
-      std::make_shared<const ScoreList>(MakeScores({{1, 1.0}}));
-  const ResultCacheKey prsim_key{111, 7, 1, prsim_id};
-  const ResultCacheKey sling_key{222, 7, 1, sling_id};
-  cache.Lookup(prsim_key, 0, WallTimer());
-  cache.Publish(prsim_key, Status::OK(), scores);
-  cache.Lookup(sling_key, 0, WallTimer());
-  cache.Publish(sling_key, Status::OK(), scores);
-  ASSERT_EQ(cache.Stats().entries, 2u);
-
-  // Same fingerprint: entries survive, same id handed back.
-  EXPECT_EQ(cache.RegisterEngine("prsim", 111), prsim_id);
-  EXPECT_EQ(cache.Stats().entries, 2u);
-  EXPECT_EQ(cache.Stats().invalidated, 0u);
-
-  // Changed fingerprint: prsim's entry is purged, sling's survives.
-  EXPECT_EQ(cache.RegisterEngine("prsim", 999), prsim_id);
-  const ResultCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.invalidated, 1u);
-  EXPECT_EQ(cache.Lookup(sling_key, 0, WallTimer()).role,
-            ResultCache::Role::kHit);
-  // The old-fingerprint key is gone; and the service would now look up
-  // under the new fingerprint anyway.
-  EXPECT_EQ(cache.Lookup(prsim_key, 0, WallTimer()).role,
-            ResultCache::Role::kLeader);
-  cache.Publish(prsim_key, Status::OK(), scores);
-}
-
 TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   // Each published vector has exactly 2 reserved entries, so all entries
   // cost the same; a budget of 2.5x that cost holds two of them.
@@ -156,14 +123,13 @@ TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   const size_t entry_cost =
       sizeof(ScoreList) + scores_a->capacity() * sizeof(ScoreEntry) + 64;
   ResultCache cache(entry_cost * 5 / 2);
-  const uint32_t algo_id = cache.RegisterEngine("prsim", 111);
-  const ResultCacheKey a{111, 7, 1, algo_id};
-  const ResultCacheKey b{111, 7, 2, algo_id};
-  const ResultCacheKey c{111, 7, 3, algo_id};
-  for (const auto& key : {a, b}) {
-    ASSERT_EQ(cache.Lookup(key, 0, WallTimer()).role,
+  const NodeId a = 1;
+  const NodeId b = 2;
+  const NodeId c = 3;
+  for (const NodeId source : {a, b}) {
+    ASSERT_EQ(cache.Lookup(source, 0, WallTimer()).role,
               ResultCache::Role::kLeader);
-    cache.Publish(key, Status::OK(), scores_a);
+    cache.Publish(source, Status::OK(), scores_a);
   }
   // Touch A so B is the LRU victim when C arrives.
   ASSERT_EQ(cache.Lookup(a, 0, WallTimer()).role, ResultCache::Role::kHit);
@@ -182,17 +148,16 @@ TEST(ResultCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
 
 TEST(ResultCacheTest, FailedPublishResolvesWaitersWithTheStatus) {
   ResultCache cache(1 << 20);
-  const uint32_t algo_id = cache.RegisterEngine("prsim", 111);
-  const ResultCacheKey key{111, 7, 5, algo_id};
-  ASSERT_EQ(cache.Lookup(key, 0, WallTimer()).role,
+  const NodeId source = 5;
+  ASSERT_EQ(cache.Lookup(source, 0, WallTimer()).role,
             ResultCache::Role::kLeader);
-  auto waiter_a = cache.Lookup(key, /*k=*/3, WallTimer());
-  auto waiter_b = cache.Lookup(key, /*k=*/0, WallTimer());
+  auto waiter_a = cache.Lookup(source, /*k=*/3, WallTimer());
+  auto waiter_b = cache.Lookup(source, /*k=*/0, WallTimer());
   ASSERT_EQ(waiter_a.role, ResultCache::Role::kWaiter);
   ASSERT_EQ(waiter_b.role, ResultCache::Role::kWaiter);
 
   const auto published =
-      cache.Publish(key, Status::ResourceExhausted("queue full"), nullptr);
+      cache.Publish(source, Status::ResourceExhausted("queue full"), nullptr);
   EXPECT_EQ(published.ok_waiters, 0u);
   EXPECT_EQ(published.failed_waiters, 2u);
   for (auto* waiter : {&waiter_a, &waiter_b}) {
@@ -201,9 +166,9 @@ TEST(ResultCacheTest, FailedPublishResolvesWaitersWithTheStatus) {
     EXPECT_TRUE(result.scores.empty());
   }
   // Nothing was cached; the next lookup leads again.
-  EXPECT_EQ(cache.Lookup(key, 0, WallTimer()).role,
+  EXPECT_EQ(cache.Lookup(source, 0, WallTimer()).role,
             ResultCache::Role::kLeader);
-  cache.Publish(key, Status::OK(),
+  cache.Publish(source, Status::OK(),
                 std::make_shared<const ScoreList>(MakeScores({{5, 1.0}})));
 }
 
@@ -212,8 +177,7 @@ TEST(ResultCacheTest, ConcurrentLookupsProduceOneLeaderAndManyWaiters) {
   // leader; everyone else is a waiter whose future resolves with the
   // leader's published vector shaped to its own k. TSan-covered.
   ResultCache cache(1 << 20);
-  const uint32_t algo_id = cache.RegisterEngine("prsim", 111);
-  const ResultCacheKey key{111, 7, 9, algo_id};
+  const NodeId source = 9;
   const auto scores = std::make_shared<const ScoreList>(
       MakeScores({{9, 1.0}, {1, 0.5}, {2, 0.25}}));
 
@@ -233,7 +197,7 @@ TEST(ResultCacheTest, ConcurrentLookupsProduceOneLeaderAndManyWaiters) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const uint32_t k = (t % 2 == 0) ? 0u : 2u;
-      auto ticket = cache.Lookup(key, k, WallTimer());
+      auto ticket = cache.Lookup(source, k, WallTimer());
       {
         std::lock_guard<std::mutex> lock(lookups_mu);
         ++lookups_done;
@@ -246,7 +210,7 @@ TEST(ResultCacheTest, ConcurrentLookupsProduceOneLeaderAndManyWaiters) {
           lookups_cv.wait_for(lock, std::chrono::seconds(30),
                               [&] { return lookups_done == kThreads; });
         }
-        cache.Publish(key, Status::OK(), scores);
+        cache.Publish(source, Status::OK(), scores);
       } else {
         ASSERT_EQ(ticket.role, ResultCache::Role::kWaiter);
         const QueryResult result = ticket.waiter_future.get();
@@ -419,16 +383,86 @@ TEST(ResultCacheServiceTest, RejectedLeaderFailsWaiterlessAndRecovers) {
   EXPECT_EQ(stats.cache_misses, 2u);  // the shed leader and the retry
 }
 
-TEST(ResultCacheServiceTest, WorkerThreadRegistryIdentifiesServiceWorkers) {
-  // The DCHECK against Submit-from-worker rests on OwnsCurrentThread();
-  // prove it is true exactly on the service's own workers.
+TEST(ResultCacheServiceTest, WaitersOfARefusedLeaderCountAsFailed) {
+  // A coalesced waiter is accepted (counted in `submitted`) the moment it
+  // joins a flight. When that flight's leader is then refused at
+  // admission — here its deadline expires while it blocks for queue
+  // capacity — every waiter shares the refusal and must also count as
+  // failed, or the drained service breaks submitted == completed + failed.
   auto control = std::make_shared<GatedEngine::Control>();
   QueryServiceOptions options;
-  options.threads = 2;
+  options.threads = 1;
+  options.max_queue = 1;
+  options.backpressure = QueryServiceOptions::Backpressure::kBlock;
+  options.cache_bytes = 1 << 20;
   QueryService service(options);
   ASSERT_TRUE(
       service.AddEngine("gated", std::make_unique<GatedEngine>(50, 7, control))
           .ok());
+
+  control->CloseGate();
+  QueryRequest positional;
+  positional.source = 1;
+  auto occupant = service.Submit(positional);
+  control->AwaitQueryEntered();  // the only queue slot is now held
+
+  // The leader: a fresh miss with a deadline. It blocks in Submit waiting
+  // for capacity, so it runs on a helper thread.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  std::future<QueryResult> leader_future;
+  std::thread leader([&] {
+    QueryRequest request = FreshRequest("gated", 9, 0);
+    request.deadline_at = deadline;
+    leader_future = service.Submit(std::move(request));
+  });
+  // Once the leader has looked up (one miss), fresh requests for the same
+  // source join its flight as waiters. The deadline leaves ample time for
+  // that; should the leader not get there in time, release everything
+  // before failing so the test cannot hang.
+  while (service.Stats().cache_misses == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (service.Stats().cache_misses == 0) {
+    control->OpenGate();
+    leader.join();
+    FAIL() << "the leader never reached the cache before its deadline";
+  }
+  constexpr int kWaiters = 4;
+  std::vector<std::future<QueryResult>> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.push_back(service.Submit(FreshRequest("gated", 9, 0)));
+  }
+  EXPECT_EQ(service.Stats().cache_coalesced,
+            static_cast<uint64_t>(kWaiters));
+
+  // Let the deadline expire while the slot is still held, then free it.
+  std::this_thread::sleep_until(deadline + std::chrono::milliseconds(50));
+  leader.join();
+  control->OpenGate();
+  ASSERT_TRUE(occupant.get().status.ok());
+  EXPECT_EQ(leader_future.get().status.code(),
+            StatusCode::kDeadlineExceeded);
+  for (auto& waiter : waiters) {
+    EXPECT_EQ(waiter.get().status.code(), StatusCode::kDeadlineExceeded);
+  }
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed)
+      << "submitted " << stats.submitted << ", completed " << stats.completed
+      << ", failed " << stats.failed;
+  EXPECT_EQ(stats.failed, static_cast<uint64_t>(kWaiters));
+  EXPECT_EQ(stats.deadline_exceeded, static_cast<uint64_t>(kWaiters + 1));
+  EXPECT_EQ(control->queries.load(), 1) << "only the occupant ran";
+}
+
+TEST(ResultCacheServiceTest, WorkerThreadRegistryIdentifiesServiceWorkers) {
+  // The DCHECK against Submit-from-worker rests on OwnsCurrentThread();
+  // prove it is true exactly on the service's own workers.
+  QueryServiceOptions options;
+  options.threads = 2;
+  QueryService service(options);
   EXPECT_FALSE(service.OwnsCurrentThread());
 
   std::atomic<bool> owns_inside{false};

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -296,26 +298,90 @@ TEST(PercentilesTest, SortedQuantileNearestRank) {
   EXPECT_EQ(SortedQuantile({}, 0.5), 0.0);
 }
 
-TEST(PercentilesTest, ExactUntilCapacityThenMonotone) {
-  StreamingPercentiles p(128);
-  for (int i = 100; i >= 1; --i) p.Add(i);  // reverse order, all retained
-  EXPECT_EQ(p.count(), 100u);
-  EXPECT_EQ(p.Quantile(0.5), 51.0);
-  EXPECT_EQ(p.Quantile(0.95), 96.0);
-  EXPECT_EQ(p.Quantile(0.99), 100.0);
+/// Log-uniform latencies between 1 us and 10 s: several octaves, so every
+/// sub-bucket width is exercised.
+std::vector<double> LogUniformLatencies(size_t count, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> exponent(-6.0, 1.0);
+  std::vector<double> samples(count);
+  for (double& sample : samples) sample = std::pow(10.0, exponent(rng));
+  return samples;
 }
 
-TEST(PercentilesTest, ReservoirStaysBoundedAndMonotone) {
-  StreamingPercentiles p(64);
-  for (int i = 0; i < 10000; ++i) p.Add(static_cast<double>(i % 997));
-  EXPECT_EQ(p.count(), 10000u);
-  const double p50 = p.Quantile(0.50);
-  const double p95 = p.Quantile(0.95);
-  const double p99 = p.Quantile(0.99);
+TEST(PercentilesTest, HistogramQuantilesStayWithinOneSubBucketOfExact) {
+  const std::vector<double> samples = LogUniformLatencies(20000, 5);
+  LatencyHistogram histogram;
+  for (double sample : samples) histogram.Add(sample);
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(histogram.count(), samples.size());
+  for (int i = 0; i <= 1000; ++i) {
+    const double q = i / 1000.0;
+    const double exact = SortedQuantile(sorted, q);
+    const double got = histogram.Quantile(q);
+    EXPECT_GE(got, exact) << "q " << q;
+    EXPECT_LE(got, exact * (1.0 + 1.0 / 32.0)) << "q " << q;
+  }
+  EXPECT_EQ(histogram.Quantile(1.0), sorted.back())
+      << "the top quantile is capped at the largest sample";
+  EXPECT_EQ(LatencyHistogram().Quantile(0.5), 0.0);
+}
+
+TEST(PercentilesTest, HistogramQuantilesAreMonotone) {
+  LatencyHistogram histogram;
+  for (int i = 100; i >= 1; --i) histogram.Add(i * 1e-3);
+  for (double sample : LogUniformLatencies(5000, 9)) histogram.Add(sample);
+  const double p50 = histogram.Quantile(0.50);
+  const double p95 = histogram.Quantile(0.95);
+  const double p99 = histogram.Quantile(0.99);
   EXPECT_GT(p50, 0.0);
   EXPECT_LE(p50, p95);
   EXPECT_LE(p95, p99);
-  EXPECT_LE(p99, 996.0);
+  double previous = 0.0;
+  for (int i = 0; i <= 1000; ++i) {
+    const double quantile = histogram.Quantile(i / 1000.0);
+    EXPECT_GE(quantile, previous) << "q " << i / 1000.0;
+    previous = quantile;
+  }
+}
+
+TEST(PercentilesTest, HistogramMergeOfUnevenPartsEqualsTheUnion) {
+  // A busy shard (100k requests, 1-2 ms) and an idle one (100 requests at
+  // 10 ms). Merging must weigh every request equally: the result is the
+  // histogram of the union, and its p99 is the busy shard's tail, not the
+  // idle shard's 10 ms.
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> busy_latency(1e-3, 2e-3);
+  LatencyHistogram busy;
+  LatencyHistogram idle;
+  LatencyHistogram both;
+  std::vector<double> all;
+  for (int i = 0; i < 100000; ++i) {
+    const double sample = busy_latency(rng);
+    busy.Add(sample);
+    both.Add(sample);
+    all.push_back(sample);
+  }
+  for (int i = 0; i < 100; ++i) {
+    idle.Add(10e-3);
+    both.Add(10e-3);
+    all.push_back(10e-3);
+  }
+  LatencyHistogram merged;
+  merged.Merge(busy);
+  merged.Merge(idle);
+  EXPECT_EQ(merged.count(), both.count());
+  for (int i = 0; i <= 1000; ++i) {
+    const double q = i / 1000.0;
+    EXPECT_EQ(merged.Quantile(q), both.Quantile(q)) << "q " << q;
+  }
+  std::sort(all.begin(), all.end());
+  for (const double q : {0.50, 0.95, 0.99}) {
+    const double exact = SortedQuantile(all, q);
+    EXPECT_GE(merged.Quantile(q), exact) << "q " << q;
+    EXPECT_LE(merged.Quantile(q), exact * (1.0 + 1.0 / 32.0)) << "q " << q;
+  }
+  EXPECT_LT(merged.Quantile(0.99), 2.1e-3);
 }
 
 // --------------------------------------------------------------------------

@@ -916,14 +916,21 @@ int OpenServeBackend(const Flags& flags, ServeBackend* backend) {
     std::fprintf(stderr, "serve: --queue must be positive\n");
     return 2;
   }
+  // Negative or malformed --cache-mb values exit 2 inside GetInt; so does a
+  // budget whose byte count would wrap size_t (and silently disable the
+  // cache).
+  const uint64_t cache_mb = flags.GetInt("cache-mb", 0);
+  if (cache_mb > (SIZE_MAX >> 20)) {
+    std::fprintf(stderr, "serve: --cache-mb %llu overflows the byte budget\n",
+                 static_cast<unsigned long long>(cache_mb));
+    return 2;
+  }
+  const size_t cache_bytes = static_cast<size_t>(cache_mb) << 20;
   EngineSource spec;
   if (const int rc = ResolveEngineSource(flags, "serve", &spec); rc != 0) {
     return rc;
   }
   const size_t threads = static_cast<size_t>(flags.GetInt("threads", 0));
-  // Negative or malformed --cache-mb values exit 2 inside GetInt.
-  const size_t cache_bytes =
-      static_cast<size_t>(flags.GetInt("cache-mb", 0)) * (size_t{1} << 20);
   const auto backpressure = flags.Has("reject")
                                 ? QueryServiceOptions::Backpressure::kReject
                                 : QueryServiceOptions::Backpressure::kBlock;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/index_io.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/sample_grid.h"
+#include "util/thread_pool.h"
 
 namespace prsim {
 
@@ -48,15 +51,34 @@ struct PRSim::QueryWorkspace {
     }
   };
 
+  /// One chunk in flight on a worker (util/sample_grid.h RunInterleaved):
+  /// the sample it is on and that sample's cursor. A lane yields at every
+  /// graph-row access of the sample's walk, meeting test and backward walk.
+  struct Lane {
+    enum class Phase : uint8_t { kNextSample, kWalk, kMeet, kBackward };
+    Chunk* chunk = nullptr;
+    uint64_t j = 0;     ///< next sample of the chunk to start
+    uint64_t j_hi = 0;  ///< one past the chunk's last sample
+    Phase phase = Phase::kNextSample;
+    WalkCursor walk;
+    PairCursor pair;
+    NodeId terminal = 0;  ///< the non-meeting sample's (w, l)
+    uint32_t level = 0;
+  };
+
   QueryWorkspace(const Graph& graph, double c, uint32_t rounds,
                  uint64_t samples_per_round)
-      : tasks(BuildSampleChunks(rounds, samples_per_round)) {
+      : tasks(BuildSampleChunks(rounds, samples_per_round)),
+        lanes(tasks.size()) {
     chunks.reserve(tasks.size());
     for (size_t i = 0; i < tasks.size(); ++i) chunks.emplace_back(graph, c);
   }
 
   std::vector<SampleChunk> tasks;
   std::vector<Chunk> chunks;
+  /// Lane slots: a worker running chunks [lo, hi) uses lanes[lo, hi), so no
+  /// width or worker count ever needs more than one lane per chunk.
+  std::vector<Lane> lanes;
 
   // Merge-pass accumulators (main thread only).
   FlatHashMap2<uint64_t> eta_pi{1024};  ///< merged sample counts
@@ -67,7 +89,10 @@ struct PRSim::QueryWorkspace {
 };
 
 PRSim::PRSim(const Graph& graph, const PRSimOptions& options)
-    : graph_(graph), options_(options), walker_(graph, options.c) {
+    : graph_(graph),
+      options_(options),
+      walker_(graph, options.c),
+      lane_width_(SampleLaneWidth(graph.MemoryBytes())) {
   PRSIM_CHECK(options_.eps > 0) << "eps must be positive";
   PRSIM_CHECK(options_.delta > 0 && options_.delta < 1);
   sqrt_c_ = std::sqrt(options_.c);
@@ -122,9 +147,12 @@ Status PRSim::LoadIndex(const std::string& path) {
   return Status::OK();
 }
 
-ScoreList PRSim::Query(NodeId u) {
+ScoreList PRSim::Query(NodeId u) { return QueryAtLaneWidth(u, lane_width_); }
+
+ScoreList PRSim::QueryAtLaneWidth(NodeId u, size_t lane_width) {
   PRSIM_CHECK(index_ != nullptr) << "call Preprocess() before Query()";
   PRSIM_CHECK(u < graph_.n()) << "query node out of range";
+  PRSIM_CHECK(lane_width > 0) << "lane width must be positive";
   cost_ = QueryCost{};
 
   const uint64_t nr = dr_ * fr_;
@@ -137,39 +165,121 @@ ScoreList PRSim::Query(NodeId u) {
         std::make_unique<QueryWorkspace>(graph_, options_.c, fr_, dr_);
   }
   QueryWorkspace& ws = *workspace_;
+  using Lane = QueryWorkspace::Lane;
+  using Phase = Lane::Phase;
 
   // Phase 1: run the static chunks of the (round, j) grid. Each chunk draws
   // from its own positional RNG substream and accumulates into its own slot,
   // so any number of workers — including the serial fallback inside pool
-  // workers that ParallelFor applies — produces identical chunk partials.
-  const auto run_chunk = [&](size_t i) {
+  // workers that ParallelFor applies — and any lane interleaving produce
+  // identical chunk partials.
+  const auto start = [&](Lane& lane, size_t i) {
     const SampleChunk& task = ws.tasks[i];
     QueryWorkspace::Chunk& chunk = ws.chunks[i];
     chunk.Reset();
     chunk.rng.Reseed(SampleChunkSeed(options_.seed, u, task, dr_));
-    for (uint64_t j = task.j_lo; j < task.j_hi; ++j) {
-      ++chunk.cost.walks;
-      const WalkOutcome walk = walker_.SampleWalk(u, chunk.rng);
-      if (!walk.terminated) continue;
-      const NodeId w = walk.terminal;
-      const uint32_t level = walk.steps;
-
-      ++chunk.cost.meeting_tests;
-      if (walker_.SamplePairMeets(w, chunk.rng)) continue;
-      // Non-meeting sample: contributes to eta(w) * pi_l(u, w), and for
-      // non-hub w also to the backward-walk tail estimate (the proof of
-      // Lemma 3.7 samples (w, l) with probability pi_l(u, w) * eta(w)).
-      ++OrderedSlot(chunk.eta_pi, chunk.eta_keys, PackNodeLevel(w, level));
-
-      if (index_->IsHub(w)) continue;
-      ++chunk.cost.backward_walks;
-      chunk.cost.backward_increments += chunk.backward.RunVarianceBounded(
-          w, level, chunk.rng, [&](NodeId v, double value) {
-            OrderedSlot(chunk.tail, chunk.tail_keys, v) += value * tail_scale;
-          });
+    lane.chunk = &chunk;
+    lane.j = task.j_lo;
+    lane.j_hi = task.j_hi;
+    lane.phase = Phase::kNextSample;
+  };
+  // Runs the lane's chunk up to its next graph-row access (true) or to its
+  // end (false); with a std::false_type `yield`, straight to its end
+  // without prefetching. One sample: a sqrt(c)-walk from u; at its
+  // terminal (w, l) a meeting test; if the pair does not meet, the sample
+  // counts toward eta(w) * pi_l(u, w), and for non-hub w a backward walk
+  // adds its tail estimate (the proof of Lemma 3.7 samples (w, l) with
+  // probability pi_l(u, w) * eta(w)).
+  const auto resume = [&](Lane& lane, auto yield) -> bool {
+    constexpr bool kYield = decltype(yield)::value;
+    QueryWorkspace::Chunk& chunk = *lane.chunk;
+    for (;;) {
+      switch (lane.phase) {
+        case Phase::kNextSample:
+          if (lane.j == lane.j_hi) return false;
+          ++lane.j;
+          ++chunk.cost.walks;
+          lane.walk = Walker::StartWalk(u);
+          lane.phase = Phase::kWalk;
+          [[fallthrough]];
+        case Phase::kWalk: {
+          WalkOutcome walk;
+          if (walker_.ResumeWalk<kYield>(lane.walk, chunk.rng, walk) ==
+              WalkStep::kPending) {
+            return true;
+          }
+          if (!walk.terminated) {
+            lane.phase = Phase::kNextSample;
+            continue;
+          }
+          lane.terminal = walk.terminal;
+          lane.level = walk.steps;
+          ++chunk.cost.meeting_tests;
+          lane.pair = Walker::StartPair(walk.terminal, walk.terminal);
+          lane.phase = Phase::kMeet;
+          [[fallthrough]];
+        }
+        case Phase::kMeet: {
+          bool met = false;
+          if (walker_.ResumePair<kYield>(lane.pair, chunk.rng, met) ==
+              WalkStep::kPending) {
+            return true;
+          }
+          lane.phase = Phase::kNextSample;
+          if (met) continue;
+          ++OrderedSlot(chunk.eta_pi, chunk.eta_keys,
+                        PackNodeLevel(lane.terminal, lane.level));
+          if (index_->IsHub(lane.terminal)) continue;
+          ++chunk.cost.backward_walks;
+          chunk.backward.Start(lane.terminal, lane.level,
+                               /*variance_bounded=*/true);
+          lane.phase = Phase::kBackward;
+          [[fallthrough]];
+        }
+        case Phase::kBackward:
+          if (chunk.backward.Resume<kYield>(chunk.rng) == WalkStep::kPending) {
+            return true;
+          }
+          chunk.cost.backward_increments +=
+              chunk.backward.Finish([&](NodeId v, double value) {
+                OrderedSlot(chunk.tail, chunk.tail_keys, v) +=
+                    value * tail_scale;
+              });
+          lane.phase = Phase::kNextSample;
+          continue;
+      }
     }
   };
-  ParallelFor(0, ws.tasks.size(), run_chunk, options_.threads);
+  // The same static split of chunks over workers as a ParallelFor over the
+  // chunks; each worker interleaves its own range. Inside a pool worker the
+  // ranges would run one after another (ParallelFor's nested rule), so one
+  // range over all chunks keeps the full lane width busy instead.
+  const size_t chunk_count = ws.tasks.size();
+  const size_t workers =
+      ThreadPool::InWorker()
+          ? 1
+          : std::min(options_.threads == 0 ? DefaultThreadCount()
+                                           : options_.threads,
+                     chunk_count);
+  const size_t per_worker = (chunk_count + workers - 1) / workers;
+  ParallelFor(
+      0, workers,
+      [&](size_t t) {
+        const size_t lo = t * per_worker;
+        const size_t hi = std::min(chunk_count, lo + per_worker);
+        if (lo >= hi) return;
+        if (lane_width == 1) {  // one lane runs each chunk straight through
+          for (size_t i = lo; i < hi; ++i) {
+            start(ws.lanes[lo], i);
+            resume(ws.lanes[lo], std::false_type{});
+          }
+          return;
+        }
+        RunInterleaved(
+            std::span(ws.lanes).subspan(lo, hi - lo), lo, hi, lane_width,
+            start, [&](Lane& lane) { return resume(lane, std::true_type{}); });
+      },
+      workers);
 
   // Phase 2: merge chunk partials in grid order, iterating each chunk's
   // insertion-order key lists. Tail partials of one (node, round) column
@@ -240,6 +350,7 @@ PRSim::WorkspaceSnapshot PRSim::SnapshotWorkspace() const {
   if (workspace_ == nullptr) return snapshot;
   const QueryWorkspace& ws = *workspace_;
   snapshot.chunk_count = ws.tasks.size();
+  snapshot.lane_count = ws.lanes.size();
   for (const QueryWorkspace::Chunk& chunk : ws.chunks) {
     snapshot.map_capacity += chunk.eta_pi.capacity() + chunk.tail.capacity() +
                              chunk.backward.ScratchCapacity();
@@ -250,8 +361,24 @@ PRSim::WorkspaceSnapshot PRSim::SnapshotWorkspace() const {
       ws.eta_pi.capacity() + ws.tail.MapCapacity() + ws.scores.capacity();
   snapshot.buffer_capacity += ws.tail.BufferCapacity() +
                               ws.eta_keys.capacity() +
-                              ws.score_nodes.capacity();
+                              ws.score_nodes.capacity() + ws.lanes.capacity();
   return snapshot;
+}
+
+std::vector<PRSim::ChunkPartial> PRSim::SnapshotChunkPartials() const {
+  std::vector<ChunkPartial> partials;
+  if (workspace_ == nullptr) return partials;
+  for (const QueryWorkspace::Chunk& chunk : workspace_->chunks) {
+    ChunkPartial& partial = partials.emplace_back();
+    for (const uint64_t key : chunk.eta_keys) {
+      partial.eta_pi.emplace_back(key, *chunk.eta_pi.Find(key));
+    }
+    for (const NodeId v : chunk.tail_keys) {
+      partial.tail.emplace_back(v, *chunk.tail.Find(v));
+    }
+    partial.cost = chunk.cost;
+  }
+  return partials;
 }
 
 size_t PRSim::IndexBytes() const {

@@ -23,12 +23,22 @@
 // (util/sample_grid.h) executed on the shared ThreadPool, each chunk drawing
 // from its own positionally seeded RNG substream and accumulating into a
 // pooled per-chunk workspace; chunk partials are merged in fixed grid order.
-// Scores are therefore a pure function of (seed, source) — bit-identical for
-// any thread count — and steady-state queries perform no per-walk allocation
-// (the workspace, including each chunk's BackwardWalker scratch, is reused
-// across queries with retained capacity). Note the chunked RNG discipline
-// means scores differ from the pre-chunking serial implementation for the
-// same seed; the statistical guarantees are unchanged.
+// Each worker runs its contiguous range of chunks as up to kSampleLanes
+// interleaved lanes (RunInterleaved): a lane steps its chunk's current
+// sample — the sqrt(c)-walk, the meeting test, the backward walk — through
+// the resumable cursors of ppr/walker.h and ppr/backward_walk.h, and at
+// every graph-row access it prefetches the row and yields to the next lane,
+// so several cache misses are in flight instead of one. Graphs small enough
+// to stay in cache run one lane per worker (SampleLaneWidth), where
+// switching lanes would only cost time. A chunk's draws and partials do not
+// depend on which lane runs it or how lanes interleave, so scores are a
+// pure function of (seed, source) — bit-identical for any thread count and
+// lane width — and steady-state queries perform no per-walk allocation (the
+// workspace, including the lanes and each chunk's BackwardWalker scratch,
+// is reused across queries with retained capacity). Note the chunked RNG
+// discipline means scores differ from the pre-chunking serial
+// implementation for the same seed; the statistical guarantees are
+// unchanged.
 
 #ifndef PRSIM_CORE_PRSIM_H_
 #define PRSIM_CORE_PRSIM_H_
@@ -37,6 +47,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/prsim_index.h"
 #include "core/single_source.h"
@@ -104,6 +116,12 @@ class PRSim : public SingleSourceSimRank {
   /// bit-identical results. Pure function of (seed, u).
   ScoreList Query(NodeId u) override;
 
+  /// Query() with the sample grid's lane width as an argument instead of
+  /// the one SampleLaneWidth picks for the graph: each worker keeps up to
+  /// `lane_width` chunks in flight. Results, costs and chunk partials are
+  /// the same at every width; tests use this to check that.
+  ScoreList QueryAtLaneWidth(NodeId u, size_t lane_width);
+
   /// Independently seeded engine sharing this engine's (immutable) index —
   /// the ShareIndexFrom fast path, packaged for the generic BatchQuery.
   /// The clone starts with an empty workspace of its own.
@@ -133,11 +151,23 @@ class PRSim : public SingleSourceSimRank {
   /// regrowth, no buffer reallocation). Zeros before the first Query().
   struct WorkspaceSnapshot {
     size_t chunk_count = 0;       ///< static sample-grid chunks
+    size_t lane_count = 0;        ///< pooled interleaving lanes
     size_t map_capacity = 0;      ///< summed FlatHashMap slot capacities
     size_t buffer_capacity = 0;   ///< summed vector capacities (elements)
     bool operator==(const WorkspaceSnapshot&) const = default;
   };
   WorkspaceSnapshot SnapshotWorkspace() const;
+
+  /// The last query's per-chunk partials, in grid order: eta-pi sample
+  /// counts and tail partials in insertion order, and the chunk's costs.
+  /// Empty before the first Query().
+  struct ChunkPartial {
+    std::vector<std::pair<uint64_t, uint64_t>> eta_pi;
+    std::vector<std::pair<NodeId, double>> tail;
+    QueryCost cost;
+    bool operator==(const ChunkPartial&) const = default;
+  };
+  std::vector<ChunkPartial> SnapshotChunkPartials() const;
 
  private:
   struct QueryWorkspace;
@@ -149,6 +179,8 @@ class PRSim : public SingleSourceSimRank {
   const Graph& graph_;
   PRSimOptions options_;
   Walker walker_;
+  /// Chunks each worker interleaves (util/sample_grid.h SampleLaneWidth).
+  size_t lane_width_;
   std::shared_ptr<const PRSimIndex> index_;
   /// Pooled scratch for Query(), built lazily on first use (its shape
   /// depends only on fr_/dr_) and reused across queries.

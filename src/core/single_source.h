@@ -51,6 +51,8 @@ struct QueryCost {
     backward_increments += other.backward_increments;
     index_tuples_read += other.index_tuples_read;
   }
+
+  bool operator==(const QueryCost&) const = default;
 };
 
 /// \brief Abstract single-source SimRank solver.

@@ -80,6 +80,15 @@ class Graph {
     return in_adj_[in_off_[v] + idx];
   }
 
+  /// Cache hints for the walk cursors of ppr/walker.h and
+  /// ppr/backward_walk.h: warm the offsets of v's in-row (InNeighbors) or
+  /// out-row (OutNeighbors, OutNeighborInDegrees) so that a later access
+  /// does not stall. They read nothing and change nothing.
+  void PrefetchInRow(NodeId v) const { __builtin_prefetch(in_off_.data() + v); }
+  void PrefetchOutRow(NodeId v) const {
+    __builtin_prefetch(out_off_.data() + v);
+  }
+
   /// Number of nodes with no in-neighbors ("dangling" for sqrt(c)-walks).
   NodeId CountDanglingNodes() const;
 

@@ -13,19 +13,31 @@
 //    Var[pi_hat_l(v, w)] <= pi_l(v, w) (Lemma 3.5), which is what lets PRSim
 //    apply Chebyshev + the median trick.
 //
-// The primary API emits (node, estimate) pairs into a caller-provided sink,
-// so the per-walk hot path performs no allocation: query engines accumulate
-// straight into their pooled workspace maps. The vector-returning overloads
-// remain for tests and the ablation bench, which want materialized results.
+// Both run on one resumable step. Start() places the walk at w; Resume()
+// expands frontier nodes until the next one needs its out-row, prefetches
+// that row (first its offsets, then its targets and their in-degrees) and
+// returns kPending, so a caller holding several walks (PRSim's sample-grid
+// lanes, see ppr/walker.h) can step the others while the cache line
+// arrives; after kDone, Finish() emits the estimates. A walk consumes
+// exactly its own draws, in order, from the Rng it is resumed with, so its
+// output does not depend on how it was interleaved with other walks.
+//
+// The run-to-completion API (the same step with kYield = false) emits
+// (node, estimate) pairs into a caller-provided sink, so the per-walk hot
+// path performs no allocation: query engines accumulate straight into
+// their pooled workspace maps. The vector-returning overloads remain for
+// tests and the ablation bench, which want materialized results.
 
 #ifndef PRSIM_PPR_BACKWARD_WALK_H_
 #define PRSIM_PPR_BACKWARD_WALK_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "ppr/walker.h"
 #include "util/flat_hash_map2.h"
 #include "util/rng.h"
 
@@ -53,7 +65,9 @@ class BackwardWalker {
   /// count. No allocation beyond growing the recycled scratch maps.
   template <typename Sink>
   uint64_t RunSimple(NodeId w, uint32_t target_level, Rng& rng, Sink&& sink) {
-    return Run<false>(w, target_level, rng, sink);
+    Start(w, target_level, /*variance_bounded=*/false);
+    Resume</*kYield=*/false>(rng);
+    return Finish(sink);
   }
 
   /// Algorithm 3. Unbiased with Var[pi_hat] <= pi_l(v, w); same sink
@@ -61,7 +75,44 @@ class BackwardWalker {
   template <typename Sink>
   uint64_t RunVarianceBounded(NodeId w, uint32_t target_level, Rng& rng,
                               Sink&& sink) {
-    return Run<true>(w, target_level, rng, sink);
+    Start(w, target_level, /*variance_bounded=*/true);
+    Resume</*kYield=*/false>(rng);
+    return Finish(sink);
+  }
+
+  /// Resumable form (see the header comment): starts a walk of Algorithm 3
+  /// (`variance_bounded`) or 2 from w to `target_level`. Draws nothing.
+  void Start(NodeId w, uint32_t target_level, bool variance_bounded) {
+    ResetScratch();
+    cur_[w] = term_;  // pi_hat_0(w, w) = 1 - sqrt_c
+    cur_keys_.push_back(w);
+    target_level_ = target_level;
+    variance_bounded_ = variance_bounded;
+    level_ = 0;
+    increments_ = 1;
+    stage_ = Stage::kLevel;
+  }
+
+  /// Expands the started walk up to the next out-row it needs and
+  /// prefetches it (kPending), or reports that the walk is over (kDone).
+  /// With kYield = false it runs the walk to its end without prefetching.
+  template <bool kYield = true>
+  WalkStep Resume(Rng& rng);
+
+  /// After Resume() returned kDone: emits every non-zero
+  /// pi_hat_target_level(v, w) as sink(v, estimate), leaves the scratch
+  /// empty, and returns the walk's increment count.
+  template <typename Sink>
+  uint64_t Finish(Sink&& sink) {
+    for (const NodeId v : cur_keys_) {
+      sink(v, *cur_.Find(v));
+    }
+    // Leave the scratch empty and equalized so the state BETWEEN walks is
+    // the deterministic one (the reset in Start() is just a guard): a
+    // repeated walk sequence reaches its high-water capacity once and never
+    // changes it again, which is what the workspace-reuse probe asserts.
+    ResetScratch();
+    return increments_;
   }
 
   /// Allocating conveniences for tests/benches; the query engines use the
@@ -81,8 +132,17 @@ class BackwardWalker {
   }
 
  private:
-  template <bool kVarianceBounded, typename Sink>
-  uint64_t Run(NodeId w, uint32_t target_level, Rng& rng, Sink&& sink);
+  /// Where the walk stands (see Resume).
+  enum class Stage : uint8_t {
+    kLevel,    ///< about to expand frontier level `level_`
+    kNode,     ///< about to visit frontier node cur_keys_[node_]
+    kOffsets,  ///< its out-row offsets are prefetched
+    kRow,      ///< its out-row is prefetched: push mass along it
+  };
+
+  /// Pushes `estimate_` from the current frontier node along `outs_` /
+  /// `degs_` into the next frontier (the body of Algorithms 2 and 3).
+  void Expand(Rng& rng);
 
   /// Accumulates `delta` for `y` in the next frontier in insertion order.
   void AccumulateNext(NodeId y, double delta) {
@@ -125,72 +185,111 @@ class BackwardWalker {
   FlatHashMap2<double> next_{64};
   std::vector<NodeId> cur_keys_;
   std::vector<NodeId> next_keys_;
+
+  // The walk in flight.
+  Stage stage_ = Stage::kLevel;
+  bool variance_bounded_ = true;
+  uint32_t target_level_ = 0;
+  uint32_t level_ = 0;    ///< frontier levels expanded so far
+  size_t node_ = 0;       ///< index of the frontier node being visited
+  double estimate_ = 0;   ///< that node's current estimate
+  std::span<const NodeId> outs_;    ///< its out-row (kRow)
+  std::span<const uint32_t> degs_;  ///< in-degrees along outs_ (kRow)
+  uint64_t increments_ = 0;
 };
 
-template <bool kVarianceBounded, typename Sink>
-uint64_t BackwardWalker::Run(NodeId w, uint32_t target_level, Rng& rng,
-                             Sink&& sink) {
-  uint64_t increments = 1;
-  ResetScratch();
-  cur_[w] = term_;  // pi_hat_0(w, w) = 1 - sqrt_c
-  cur_keys_.push_back(w);
+template <bool kYield>
+inline WalkStep BackwardWalker::Resume(Rng& rng) {
+  for (;;) {
+    switch (stage_) {
+      case Stage::kLevel:
+        if (level_ == target_level_ || cur_keys_.empty()) {
+          return WalkStep::kDone;
+        }
+        node_ = 0;
+        stage_ = Stage::kNode;
+        [[fallthrough]];
+      case Stage::kNode: {
+        if (node_ == cur_keys_.size()) {
+          cur_.clear();
+          cur_keys_.clear();
+          std::swap(cur_, next_);
+          std::swap(cur_keys_, next_keys_);
+          ++level_;
+          stage_ = Stage::kLevel;
+          continue;
+        }
+        const NodeId x = cur_keys_[node_];
+        estimate_ = *cur_.Find(x);
+        // Algorithm 3 continues from x with probability sqrt_c, decided
+        // before its out-row is touched.
+        if (variance_bounded_ && rng.NextDouble() >= sqrt_c_) {
+          ++node_;
+          continue;
+        }
+        stage_ = Stage::kOffsets;
+        if constexpr (kYield) {
+          graph_.PrefetchOutRow(x);
+          return WalkStep::kPending;
+        }
+        [[fallthrough]];
+      }
+      case Stage::kOffsets: {
+        const NodeId x = cur_keys_[node_];
+        outs_ = graph_.OutNeighbors(x);
+        degs_ = graph_.OutNeighborInDegrees(x);
+        stage_ = Stage::kRow;
+        if constexpr (kYield) {
+          __builtin_prefetch(outs_.data());
+          __builtin_prefetch(degs_.data());
+          return WalkStep::kPending;
+        }
+        [[fallthrough]];
+      }
+      case Stage::kRow:
+        Expand(rng);
+        ++node_;
+        stage_ = Stage::kNode;
+        continue;
+    }
+  }
+}
 
-  for (uint32_t level = 0; level < target_level; ++level) {
-    if (cur_keys_.empty()) break;
-    for (const NodeId x : cur_keys_) {
-      const double estimate = *cur_.Find(x);
-      const auto outs = graph_.OutNeighbors(x);
-      const auto degs = graph_.OutNeighborInDegrees(x);
-      if constexpr (kVarianceBounded) {
-        // Algorithm 3: continue with probability sqrt_c. Out-neighbors with
-        // in-degree <= estimate/(1-sqrt_c) receive the exact share
-        // estimate/d_in(y) (each such increment is >= 1-sqrt_c, which is what
-        // bounds the cost); higher-degree out-neighbors receive a fixed
-        // (1-sqrt_c) increment with probability estimate/(d_in(y)(1-sqrt_c)),
-        // realized by thresholding one uniform draw against the sorted
-        // in-degree prefix.
-        if (rng.NextDouble() >= sqrt_c_) continue;
-        const double exact_threshold = estimate / term_;
-        size_t i = 0;
-        for (; i < outs.size() && degs[i] <= exact_threshold; ++i) {
-          AccumulateNext(outs[i], estimate / degs[i]);
-          ++increments;
-        }
-        if (i < outs.size()) {
-          const double r = rng.NextDouble();
-          const double sampled_threshold = exact_threshold / r;
-          for (; i < outs.size() && degs[i] <= sampled_threshold; ++i) {
-            AccumulateNext(outs[i], term_);
-            ++increments;
-          }
-        }
-      } else {
-        // Algorithm 2: every out-neighbor y with d_in(y) <= sqrt_c / r gets
-        // the full current estimate, i.e. an increment of estimate with
-        // probability sqrt_c / d_in(y).
-        const double r = rng.NextDouble();
-        const double threshold = sqrt_c_ / r;
-        for (size_t i = 0; i < outs.size() && degs[i] <= threshold; ++i) {
-          AccumulateNext(outs[i], estimate);
-          ++increments;
-        }
+inline void BackwardWalker::Expand(Rng& rng) {
+  const NodeId* outs = outs_.data();
+  const uint32_t* degs = degs_.data();
+  const size_t size = outs_.size();
+  const double estimate = estimate_;
+  size_t i = 0;
+  if (variance_bounded_) {
+    // Algorithm 3: out-neighbors with in-degree <= estimate/(1-sqrt_c)
+    // receive the exact share estimate/d_in(y) (each such increment is
+    // >= 1-sqrt_c, which is what bounds the cost); higher-degree
+    // out-neighbors receive a fixed (1-sqrt_c) increment with probability
+    // estimate/(d_in(y)(1-sqrt_c)), realized by thresholding one uniform
+    // draw against the sorted in-degree prefix.
+    const double exact_threshold = estimate / term_;
+    for (; i < size && degs[i] <= exact_threshold; ++i) {
+      AccumulateNext(outs[i], estimate / degs[i]);
+    }
+    if (i < size) {
+      const double r = rng.NextDouble();
+      const double sampled_threshold = exact_threshold / r;
+      for (; i < size && degs[i] <= sampled_threshold; ++i) {
+        AccumulateNext(outs[i], term_);
       }
     }
-    cur_.clear();
-    cur_keys_.clear();
-    std::swap(cur_, next_);
-    std::swap(cur_keys_, next_keys_);
+  } else {
+    // Algorithm 2: every out-neighbor y with d_in(y) <= sqrt_c / r gets the
+    // full current estimate, i.e. an increment of estimate with probability
+    // sqrt_c / d_in(y).
+    const double r = rng.NextDouble();
+    const double threshold = sqrt_c_ / r;
+    for (; i < size && degs[i] <= threshold; ++i) {
+      AccumulateNext(outs[i], estimate);
+    }
   }
-
-  for (const NodeId v : cur_keys_) {
-    sink(v, *cur_.Find(v));
-  }
-  // Leave the scratch empty and equalized so the state BETWEEN walks is the
-  // deterministic one (the start-of-run reset is just a guard): a repeated
-  // walk sequence reaches its high-water capacity once and never changes it
-  // again, which is what the workspace-reuse probe asserts.
-  ResetScratch();
-  return increments;
+  increments_ += i;  // one increment per out-neighbor reached
 }
 
 }  // namespace prsim

@@ -11,38 +11,6 @@ Walker::Walker(const Graph& graph, double c) : graph_(graph) {
   sqrt_c_ = std::sqrt(c);
 }
 
-WalkOutcome Walker::SampleWalk(NodeId u, Rng& rng) const {
-  WalkOutcome out;
-  NodeId pos = u;
-  for (uint32_t step = 0; step < kMaxWalkLevel; ++step) {
-    if (rng.NextDouble() >= sqrt_c_) {
-      out.terminal = pos;
-      out.steps = step;
-      out.terminated = true;
-      return out;
-    }
-    if (!Step(pos, rng)) {
-      return out;  // lost at a dangling node
-    }
-  }
-  return out;  // capped: treated as lost (probability < 1e-9)
-}
-
-bool Walker::SamplePairMeets(NodeId w, Rng& rng) const {
-  NodeId a = w;
-  NodeId b = w;
-  for (uint32_t step = 0; step < kMaxWalkLevel; ++step) {
-    // Each walk independently decides to continue; a stop by either walk
-    // makes any future meeting impossible.
-    if (rng.NextDouble() >= sqrt_c_) return false;
-    if (rng.NextDouble() >= sqrt_c_) return false;
-    if (!Step(a, rng)) return false;
-    if (!Step(b, rng)) return false;
-    if (a == b) return true;  // met at step >= 1
-  }
-  return false;
-}
-
 double Walker::EstimateEta(NodeId w, uint64_t samples, Rng& rng) const {
   PRSIM_CHECK(samples > 0);
   uint64_t meets = 0;
@@ -58,18 +26,7 @@ double Walker::EstimateSimRank(NodeId u, NodeId v, uint64_t samples,
   if (u == v) return 1.0;
   uint64_t meets = 0;
   for (uint64_t i = 0; i < samples; ++i) {
-    NodeId a = u;
-    NodeId b = v;
-    for (uint32_t step = 0; step < kMaxWalkLevel; ++step) {
-      if (rng.NextDouble() >= sqrt_c_) break;
-      if (rng.NextDouble() >= sqrt_c_) break;
-      if (!Step(a, rng)) break;
-      if (!Step(b, rng)) break;
-      if (a == b) {
-        ++meets;
-        break;
-      }
-    }
+    meets += PairMeets(u, v, rng) ? 1 : 0;
   }
   return static_cast<double>(meets) / static_cast<double>(samples);
 }

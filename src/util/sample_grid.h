@@ -22,6 +22,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/flat_hash_map2.h"
@@ -40,6 +42,24 @@ struct SampleChunk {
 /// oversubscription at 16 workers while keeping the fixed-order merge and
 /// the pooled per-chunk workspaces O(64).
 inline constexpr uint64_t kTargetSampleChunks = 64;
+
+/// Chunks one worker keeps in flight at once (see RunInterleaved): while one
+/// chunk's walk waits for a graph row to arrive in cache, the worker steps
+/// the walks of up to seven others. A fixed property of the engine, not an
+/// option; results do not depend on it.
+inline constexpr size_t kSampleLanes = 8;
+
+/// Graphs whose CSR arrays (Graph::MemoryBytes) are smaller than this stay
+/// cache-resident, so a row access rarely stalls and interleaving only adds
+/// the cost of switching lanes: on a 4-core Xeon (2 MiB L2 per core) eight
+/// lanes made single-thread PRSim queries on a 0.35 MiB Chung-Lu graph
+/// 15-40% slower than one lane, and on graphs from 2.7 MiB up faster.
+inline constexpr size_t kInterleaveMinGraphBytes = size_t{2} << 20;
+
+/// The lane width PRSim::Query runs on a graph of `graph_bytes`.
+inline size_t SampleLaneWidth(size_t graph_bytes) {
+  return graph_bytes < kInterleaveMinGraphBytes ? 1 : kSampleLanes;
+}
 
 /// Splits `rounds` x `samples_per_round` into round-major chunks that never
 /// cross a round boundary. Layout depends only on the two arguments.
@@ -60,6 +80,34 @@ inline std::vector<SampleChunk> BuildSampleChunks(uint32_t rounds,
     }
   }
   return chunks;
+}
+
+/// Runs tasks [lo, hi) as up to `width` interleaved lanes on the calling
+/// thread, using lanes[0, min(width, hi - lo)) as the lane slots.
+/// start(lane, task) binds a slot to a task; resume(lane) advances the
+/// lane's task until it either yields — it prefetched a cache line it needs
+/// next, and returns true — or finishes (false). Lanes are resumed
+/// round-robin and a finished lane takes the next unstarted task, so up to
+/// `width` independent memory accesses are in flight instead of one (the
+/// AMAC scheme of Kocberber et al., VLDB 2015). Tasks that share no mutable
+/// state produce the same results at every width and interleaving.
+template <typename Lane, typename Start, typename Resume>
+void RunInterleaved(std::span<Lane> lanes, size_t lo, size_t hi, size_t width,
+                    Start&& start, Resume&& resume) {
+  size_t active = std::min({width, hi - lo, lanes.size()});
+  size_t next = lo;
+  for (size_t l = 0; l < active; ++l) start(lanes[l], next++);
+  while (active > 0) {
+    for (size_t l = 0; l < active;) {
+      if (resume(lanes[l])) {
+        ++l;
+      } else if (next < hi) {
+        start(lanes[l], next++);
+      } else {
+        std::swap(lanes[l], lanes[--active]);
+      }
+    }
+  }
 }
 
 /// Stateless positional seed derivation (splitmix over a golden-ratio

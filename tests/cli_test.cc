@@ -702,6 +702,43 @@ TEST_F(CliTest, ServeInvalidNodeIdFailsPerLineNotTheLoop) {
   EXPECT_NE(output.find("served queries=2"), std::string::npos);
 }
 
+// --threads sizes the serving pool for every engine, and reaches the engine
+// config only of engines that take a `threads` key: READS and TSF do not,
+// and must answer exactly as without the flag.
+TEST_F(CliTest, ThreadsFlagWorksForEnginesWithoutAThreadsKey) {
+  ASSERT_EQ(Run("generate --out " + Path("g.txt") +
+                " --model er --n 300 --degree 4 --seed 3"),
+            0);
+  std::ofstream(Path("in.txt")) << "1\n2\n3\n";
+  const auto result_lines = [](const std::string& output) {
+    std::vector<std::string> lines;
+    std::istringstream stream(output);
+    std::string line;
+    while (std::getline(stream, line)) {
+      if (line.rfind("result ", 0) == 0) lines.push_back(line);
+    }
+    return lines;
+  };
+  for (const std::string algo : {"reads", "tsf"}) {
+    const std::string engine = " --algo " + algo + " --seed 5";
+    const std::string serve =
+        "serve --graph " + Path("g.txt") + " --stdin" + engine;
+    std::string plain, threaded;
+    ASSERT_EQ(Run(serve + " < " + Path("in.txt"), &plain), 0) << algo;
+    ASSERT_EQ(Run(serve + " --threads 2 < " + Path("in.txt"), &threaded), 0)
+        << algo;
+    EXPECT_EQ(result_lines(plain).size(), 3u) << algo;
+    EXPECT_EQ(result_lines(plain), result_lines(threaded)) << algo;
+
+    const std::string query = "query --graph " + Path("g.txt") +
+                              " --source 1 --k 10 --format tsv" + engine;
+    ASSERT_EQ(Run(query, &plain), 0) << algo;
+    ASSERT_EQ(Run(query + " --threads 2", &threaded), 0) << algo;
+    EXPECT_FALSE(ScoreTsvLines(plain).empty()) << algo;
+    EXPECT_EQ(ScoreTsvLines(plain), ScoreTsvLines(threaded)) << algo;
+  }
+}
+
 TEST_F(CliTest, ServeRequiresStdinFlag) {
   ASSERT_EQ(Run("generate --out " + Path("g.txt") +
                 " --model er --n 300 --degree 4 --seed 3"),

@@ -1,8 +1,9 @@
 // The intra-query parallelism contract: PRSim::Query and the RpprEstimator
 // run their (round, j) sample grids as static chunks with positional RNG
 // substreams (util/sample_grid.h), so results are bit-identical for ANY
-// thread count — and their pooled workspaces make steady-state queries
-// allocation-free (no map rehash or buffer regrowth on reuse).
+// thread count and, for PRSim, any lane width — and their pooled workspaces
+// make steady-state queries allocation-free (no map rehash or buffer
+// regrowth on reuse).
 //
 // Registered under the `concurrency` label so the TSan CI job exercises the
 // chunk fan-out / fixed-order merge for data races.
@@ -15,6 +16,7 @@
 #include "core/prsim.h"
 #include "ppr/rppr_estimator.h"
 #include "test_util.h"
+#include "util/sample_grid.h"
 #include "util/thread_pool.h"
 
 namespace prsim {
@@ -108,6 +110,8 @@ TEST(ParallelQueryTest, RepeatedQueryIsPureAndReusesWorkspace) {
   EXPECT_GT(after_first.chunk_count, 0u);
   EXPECT_GT(after_first.map_capacity, 0u);
   EXPECT_GT(after_first.buffer_capacity, 0u);
+  // The interleaving lanes are pooled in the workspace too, one per chunk.
+  EXPECT_EQ(after_first.lane_count, after_first.chunk_count);
 
   // Queries are pure functions of (seed, source): repeating one returns the
   // identical ScoreList...
@@ -117,12 +121,55 @@ TEST(ParallelQueryTest, RepeatedQueryIsPureAndReusesWorkspace) {
   // slot array (FlatHashMap::clear() retains capacity) and every buffer its
   // backing store, so the capacity snapshot is unchanged.
   EXPECT_EQ(engine.SnapshotWorkspace(), after_first);
+  // The same holds at any lane width: lanes are bound to pooled slots, never
+  // allocated per query.
+  for (const size_t lanes : {size_t{1}, kSampleLanes, size_t{64}}) {
+    EXPECT_EQ(engine.QueryAtLaneWidth(5, lanes), first) << "lanes " << lanes;
+    EXPECT_EQ(engine.SnapshotWorkspace(), after_first) << "lanes " << lanes;
+  }
 
   // Reseeding changes the scores but must not disturb the pooled workspace.
   engine.Reseed(4711);
   const ScoreList reseeded = engine.Query(5);
   EXPECT_NE(first, reseeded);
   EXPECT_EQ(engine.SnapshotWorkspace().chunk_count, after_first.chunk_count);
+}
+
+TEST(ParallelQueryTest, PRSimLaneWidthChangesNothing) {
+  // Each worker runs its chunks as up to `lane_width` interleaved lanes.
+  // Chunks share no state, so the per-chunk partials (eta-pi counts and tail
+  // sums in insertion order, costs) and hence the results must be the same
+  // at every width, including widths above the chunks per worker.
+  Graph g = MakeRandomDigraph(300, 2400, 25);
+  PRSimOptions options;
+  options.eps = 0.08;
+  options.alpha = 5;
+  options.seed = 29;
+  options.j0 = 8;  // some terminals are hubs, most run backward walks
+  PRSim leader(g, options);
+  ASSERT_TRUE(leader.Preprocess().ok());
+
+  for (const size_t threads : {size_t{1}, size_t{3}}) {
+    PRSimOptions engine_options = options;
+    engine_options.threads = threads;
+    PRSim engine(g, engine_options);
+    engine.ShareIndexFrom(leader);
+    for (const NodeId u : {NodeId(0), NodeId(101), NodeId(299)}) {
+      const ScoreList base = engine.QueryAtLaneWidth(u, 1);
+      const QueryCost base_cost = engine.last_query_cost();
+      const std::vector<PRSim::ChunkPartial> base_partials =
+          engine.SnapshotChunkPartials();
+      ASSERT_EQ(base_partials.size(), engine.SnapshotWorkspace().chunk_count);
+      EXPECT_GT(base_cost.backward_walks, 0u);
+      for (const size_t lanes : {size_t{2}, size_t{8}, size_t{64}}) {
+        EXPECT_EQ(engine.QueryAtLaneWidth(u, lanes), base)
+            << "u=" << u << " threads=" << threads << " lanes=" << lanes;
+        EXPECT_EQ(engine.last_query_cost(), base_cost);
+        EXPECT_EQ(engine.SnapshotChunkPartials(), base_partials)
+            << "u=" << u << " threads=" << threads << " lanes=" << lanes;
+      }
+    }
+  }
 }
 
 TEST(ParallelQueryTest, CloneWithSeedStartsWithOwnWorkspace) {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,7 +18,9 @@
 #include "core/batch_query.h"
 #include "core/prsim.h"
 #include "gen/chung_lu.h"
+#include "gen/erdos_renyi.h"
 #include "test_util.h"
+#include "util/sample_grid.h"
 
 namespace prsim {
 namespace {
@@ -330,6 +335,86 @@ TEST(PRSimTest, UndirectedSymmetryApproximate) {
   const auto r0 = algo.Query(0);
   const auto r1 = algo.Query(1);
   EXPECT_NEAR(ScoreOf(r0, 1), ScoreOf(r1, 0), 3 * options.eps);
+}
+
+/// FNV-1a over the 64-bit words fed to it.
+struct Fnv1a64 {
+  uint64_t state = 0xcbf29ce484222325ULL;
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      state ^= (word >> (8 * byte)) & 0xff;
+      state *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Digest of the full Query() score lists (node ids and score bits, in
+/// emission order) and of the summed QueryCost counters over 64 sources,
+/// with the sample grid interleaved `lane_width` chunks deep (0: the width
+/// Query() picks for the graph).
+uint64_t QueryDigest(const Graph& g, size_t threads, size_t lane_width) {
+  PRSimOptions options;
+  options.threads = threads;
+  PRSim engine(g, options);
+  EXPECT_TRUE(engine.Preprocess().ok());
+  Fnv1a64 hash;
+  QueryCost total;
+  for (NodeId i = 0; i < 64; ++i) {
+    const NodeId u = static_cast<NodeId>((i * 7919ULL + 13) % g.n());
+    const ScoreList result = lane_width == 0
+                                 ? engine.Query(u)
+                                 : engine.QueryAtLaneWidth(u, lane_width);
+    hash.Add(result.size());
+    for (const auto& [v, score] : result) {
+      hash.Add(v);
+      hash.Add(std::bit_cast<uint64_t>(score));
+    }
+    total.Accumulate(engine.last_query_cost());
+  }
+  hash.Add(total.walks);
+  hash.Add(total.meeting_tests);
+  hash.Add(total.backward_walks);
+  hash.Add(total.backward_increments);
+  hash.Add(total.index_tuples_read);
+  return hash.state;
+}
+
+std::string Hex(uint64_t value) {
+  char buffer[19];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+// Golden digests of Query() output, pinned before the sample grid's walks
+// were interleaved across lanes. Any moved RNG draw, reordered float sum or
+// changed counter changes them; they must hold at every engine thread count
+// and lane width.
+TEST(PRSimTest, GoldenQueryDigestIsPinned) {
+  ChungLuOptions chung_lu;
+  chung_lu.n = 20000;
+  chung_lu.avg_degree = 10;
+  chung_lu.gamma_out = 2.0;
+  chung_lu.seed = 1;
+  const Graph power_law = GenerateChungLu(chung_lu).ValueOrDie();
+  ErdosRenyiOptions erdos_renyi;
+  erdos_renyi.n = 20000;
+  erdos_renyi.avg_degree = 10;
+  erdos_renyi.seed = 1;
+  const Graph flat = GenerateErdosRenyi(erdos_renyi).ValueOrDie();
+
+  constexpr uint64_t kChungLuDigest = 0x12c2358310846369ULL;
+  constexpr uint64_t kErdosRenyiDigest = 0xdbd979e0a0d742b1ULL;
+  for (const size_t threads : {1, 4}) {
+    for (const size_t lanes : {size_t{0}, size_t{1}, kSampleLanes}) {
+      EXPECT_EQ(Hex(QueryDigest(power_law, threads, lanes)),
+                Hex(kChungLuDigest))
+          << "Chung-Lu, threads " << threads << ", lanes " << lanes;
+      EXPECT_EQ(Hex(QueryDigest(flat, threads, lanes)),
+                Hex(kErdosRenyiDigest))
+          << "Erdos-Renyi, threads " << threads << ", lanes " << lanes;
+    }
+  }
 }
 
 }  // namespace

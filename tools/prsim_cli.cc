@@ -133,6 +133,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -301,10 +302,24 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
-/// Builds an EngineConfig from --params plus the dedicated engine flags
-/// (which override keys of the same name). Returns exit code 0 on success,
-/// 2 on a malformed --params string or an explicit --threads 0.
-int BuildEngineConfig(const Flags& flags, EngineConfig* out) {
+/// True when `info` lists `key` among its supported config keys.
+bool EngineTakesKey(const EngineInfo& info, std::string_view key) {
+  std::string_view keys = info.config_keys;
+  for (;;) {
+    const size_t comma = keys.find(',');
+    if (keys.substr(0, comma) == key) return true;
+    if (comma == std::string_view::npos) return false;
+    keys.remove_prefix(comma + 1);
+  }
+}
+
+/// Builds `info`'s EngineConfig from --params plus the dedicated engine
+/// flags (which override keys of the same name). --threads also sizes the
+/// worker pool of `query` and `serve`, so it reaches the config only of
+/// engines that take a `threads` key. Returns exit code 0 on success, 2 on
+/// a malformed --params string or an explicit --threads 0.
+int BuildEngineConfig(const Flags& flags, const EngineInfo& info,
+                      EngineConfig* out) {
   // "0 threads" has no meaning on any path (engines treat an *absent*
   // thread count as "use the default"); an explicit --threads 0 is a typo'd
   // request and is rejected like every other out-of-range flag value.
@@ -324,9 +339,11 @@ int BuildEngineConfig(const Flags& flags, EngineConfig* out) {
   // Dedicated flags share their config key's name (--paper-constants is the
   // one spelling difference); values stay raw strings so the engine factory
   // is the single place numbers are parsed and range-checked.
-  for (const char* key :
-       {"c", "eps", "seed", "j0", "alpha", "rounds", "threads"}) {
+  for (const char* key : {"c", "eps", "seed", "j0", "alpha", "rounds"}) {
     if (flags.HasValue(key)) out->SetOrReplace(key, flags.Get(key, ""));
+  }
+  if (flags.HasValue("threads") && EngineTakesKey(info, "threads")) {
+    out->SetOrReplace("threads", flags.Get("threads", ""));
   }
   if (flags.Has("paper-constants")) {
     out->SetOrReplace("paper_constants", "true");
@@ -400,7 +417,8 @@ int ResolveEngineSource(const Flags& flags, const char* cmd,
                  cmd, out->info->name.c_str());
     return 2;
   }
-  if (const int rc = BuildEngineConfig(flags, &out->config); rc != 0) {
+  if (const int rc = BuildEngineConfig(flags, *out->info, &out->config);
+      rc != 0) {
     return rc;
   }
   if (bundle) {
@@ -473,7 +491,9 @@ int CmdIndex(const Flags& flags) {
   // Validate the engine config through the registry before touching the
   // graph file, so bad flag values fail fast with exit 2.
   EngineConfig config;
-  if (const int rc = BuildEngineConfig(flags, &config); rc != 0) return rc;
+  if (const int rc = BuildEngineConfig(flags, *info, &config); rc != 0) {
+    return rc;
+  }
   if (Status st = EngineRegistry::Global().Validate(info->name, config);
       !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -540,7 +560,9 @@ int CmdShardBuild(const Flags& flags) {
     return 2;
   }
   EngineConfig config;
-  if (const int rc = BuildEngineConfig(flags, &config); rc != 0) return rc;
+  if (const int rc = BuildEngineConfig(flags, *info, &config); rc != 0) {
+    return rc;
+  }
   if (Status st = EngineRegistry::Global().Validate(info->name, config);
       !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

@@ -5,21 +5,19 @@
 // through CloneWithSeed (every index-based engine shares its immutable built
 // index with clones via shared_ptr — PRSim's ShareIndexFrom fast path,
 // generalized) with deterministic per-query seeds derived from the leader's
-// seed and the query's position. Chunks are scheduled on the shared
-// ThreadPool instead of freshly spawned std::threads, so sustained batch
-// load pays queue pushes rather than thread churn.
+// seed and the query's position. The chunks run through ParallelFor on the
+// shared ThreadPool, so sustained batch load pays queue pushes rather than
+// thread churn.
 
 #ifndef PRSIM_CORE_BATCH_QUERY_H_
 #define PRSIM_CORE_BATCH_QUERY_H_
 
 #include <algorithm>
-#include <exception>
-#include <future>
 #include <memory>
 #include <vector>
 
-#include "core/prsim.h"
 #include "core/single_source.h"
+#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/percentiles.h"
 #include "util/thread_pool.h"
@@ -44,76 +42,45 @@ struct BatchQueryResult {
 };
 
 /// Answers one single-source query per entry of `sources`, using up to
-/// `threads` static chunks (0 = DefaultThreadCount()) scheduled on the
-/// shared ThreadPool. `leader` must be preprocessed; it is not modified.
+/// `threads` static chunks (0 = DefaultThreadCount()) run by ParallelFor on
+/// the shared ThreadPool. `leader` must be preprocessed; it is not modified.
 /// One clone is minted per chunk (cloning is O(1) — the built index is
 /// shared — but per-query cloning would still churn allocations), and
 /// Reseed() makes each query a pure function of (leader seed, position), so
 /// results are bit-identical across any `threads` value and any pool size.
-/// For PRSim leaders the per-query seeds match the historical
-/// positional-seed scheme, so results match the PRSim-specific overload
-/// below exactly. Per-query wall times land in `cost` as p50/p95/p99.
+/// An engine exception is rethrown here after every chunk has finished.
+/// Per-query wall times land in `cost` as p50/p95/p99.
 inline BatchQueryResult BatchQueryWithStats(const SingleSourceSimRank& leader,
                                             const std::vector<NodeId>& sources,
                                             size_t threads = 0) {
   BatchQueryResult result;
   if (sources.empty()) return result;
   if (threads == 0) threads = DefaultThreadCount();
-  threads = std::max<size_t>(1, std::min(threads, sources.size()));
-  if (ThreadPool::InWorker()) threads = 1;  // see ParallelFor's rationale
+  threads = std::min(threads, sources.size());
+  const size_t chunk = (sources.size() + threads - 1) / threads;
+  const size_t chunks = (sources.size() + chunk - 1) / chunk;
 
   result.scores.resize(sources.size());
   std::vector<double> latencies(sources.size());
-  std::vector<QueryCost> chunk_costs(threads);
-  const auto run_chunk = [&](size_t chunk_index, size_t lo, size_t hi) {
-    std::unique_ptr<SingleSourceSimRank> engine =
-        leader.CloneWithSeed(leader.seed());
-    PRSIM_CHECK(engine != nullptr)
-        << leader.name() << " returned a null CloneWithSeed()";
-    WallTimer timer;
-    for (size_t i = lo; i < hi; ++i) {
-      engine->Reseed(internal::BatchQuerySeed(leader.seed(), i));
-      timer.Restart();
-      result.scores[i] = engine->Query(sources[i]);
-      latencies[i] = timer.Seconds();
-      chunk_costs[chunk_index].Accumulate(engine->last_query_cost());
-    }
-  };
-  if (threads == 1) {
-    run_chunk(0, 0, sources.size());
-  } else {
-    // Static contiguous chunks; chunk 0 runs on the calling thread, the
-    // rest on the shared pool (mirroring ParallelFor). Every pending future
-    // is drained before any rethrow — the chunk tasks capture this frame's
-    // locals, so unwinding past them while a worker still runs would be a
-    // use-after-free.
-    const size_t chunk = (sources.size() + threads - 1) / threads;
-    std::vector<std::future<void>> pending;
-    pending.reserve(threads - 1);
-    for (size_t t = 1; t < threads; ++t) {
-      const size_t lo = t * chunk;
-      const size_t hi = std::min(sources.size(), lo + chunk);
-      if (lo >= hi) break;
-      pending.push_back(ThreadPool::Shared().Submit(
-          [&run_chunk, t, lo, hi] { run_chunk(t, lo, hi); }));
-    }
-    std::exception_ptr first_exception;
-    try {
-      run_chunk(0, 0, std::min(sources.size(), chunk));
-    } catch (...) {
-      first_exception = std::current_exception();
-    }
-    for (auto& future : pending) {
-      try {
-        future.get();
-      } catch (...) {
-        if (first_exception == nullptr) {
-          first_exception = std::current_exception();
+  std::vector<QueryCost> chunk_costs(chunks);
+  ParallelFor(
+      0, chunks,
+      [&](size_t c) {
+        std::unique_ptr<SingleSourceSimRank> engine =
+            leader.CloneWithSeed(leader.seed());
+        PRSIM_CHECK(engine != nullptr)
+            << leader.name() << " returned a null CloneWithSeed()";
+        WallTimer timer;
+        const size_t hi = std::min(sources.size(), (c + 1) * chunk);
+        for (size_t i = c * chunk; i < hi; ++i) {
+          engine->Reseed(internal::BatchQuerySeed(leader.seed(), i));
+          timer.Restart();
+          result.scores[i] = engine->Query(sources[i]);
+          latencies[i] = timer.Seconds();
+          chunk_costs[c].Accumulate(engine->last_query_cost());
         }
-      }
-    }
-    if (first_exception != nullptr) std::rethrow_exception(first_exception);
-  }
+      },
+      chunks);
   for (const QueryCost& c : chunk_costs) result.cost.Accumulate(c);
   std::sort(latencies.begin(), latencies.end());
   result.cost.latency_p50_seconds = SortedQuantile(latencies, 0.50);
@@ -127,32 +94,6 @@ inline std::vector<ScoreList> BatchQuery(const SingleSourceSimRank& leader,
                                          const std::vector<NodeId>& sources,
                                          size_t threads = 0) {
   return BatchQueryWithStats(leader, sources, threads).scores;
-}
-
-/// PRSim-specific overload keeping the original signature: `options` lets
-/// callers batch with query options that differ from the leader's (the index
-/// is reused either way through ShareIndexFrom).
-inline std::vector<ScoreList> BatchQuery(const Graph& graph,
-                                         const PRSim& leader,
-                                         const PRSimOptions& options,
-                                         const std::vector<NodeId>& sources,
-                                         size_t threads = 0) {
-  PRSIM_CHECK(leader.preprocessed()) << "leader must be preprocessed";
-  if (threads == 0) threads = DefaultThreadCount();
-  threads = std::max<size_t>(1, std::min(threads, sources.size()));
-
-  std::vector<ScoreList> results(sources.size());
-  ParallelFor(
-      0, sources.size(),
-      [&](size_t i) {
-        PRSimOptions per_query = options;
-        per_query.seed = internal::BatchQuerySeed(options.seed, i);
-        PRSim engine(graph, per_query);
-        engine.ShareIndexFrom(leader);
-        results[i] = engine.Query(sources[i]);
-      },
-      threads);
-  return results;
 }
 
 }  // namespace prsim

@@ -53,9 +53,8 @@ using ServiceClock = std::chrono::steady_clock;
 /// real client budgets a query in years.
 constexpr uint64_t kMaxDeadlineMs = 365ull * 24 * 3600 * 1000;
 
-/// Resolves a request's deadline fields to one absolute time point
-/// (time_point::max() = none). An absolute deadline_at wins over the
-/// relative deadline_ms budget.
+}  // namespace
+
 ServiceClock::time_point ResolveDeadline(const QueryRequest& request) {
   if (request.deadline_at != ServiceClock::time_point::max()) {
     return request.deadline_at;
@@ -67,8 +66,6 @@ ServiceClock::time_point ResolveDeadline(const QueryRequest& request) {
   }
   return ServiceClock::time_point::max();
 }
-
-}  // namespace
 
 QueryService::QueryService(const QueryServiceOptions& options)
     : options_(options),
@@ -219,16 +216,8 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request) {
     Status refusal;
     uint64_t* waiter_counter = nullptr;
     if (inflight_ >= options_.max_queue) {
-      if (options_.degraded) {
-        // Degraded mode: a full queue sheds immediately, regardless of the
-        // configured backpressure policy — cache hits (resolved above)
-        // keep answering while queue-bound work is refused.
-        ++shed_;
-        waiter_counter = &shed_;
-        refusal =
-            Status::ResourceExhausted("shed: queue full (degraded mode)");
-      } else if (options_.backpressure ==
-                 QueryServiceOptions::Backpressure::kReject) {
+      if (options_.backpressure ==
+          QueryServiceOptions::Backpressure::kReject) {
         ++rejected_;
         waiter_counter = &rejected_;
         refusal = Status::ResourceExhausted(
@@ -310,7 +299,7 @@ QueryResult QueryService::RunQuery(
     // Injected scheduling hiccup: the worker picked this request up late.
     std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
   }
-  // Queue sweep: a request whose deadline expired while queued is resolved
+  // Pickup check: a request whose deadline expired while queued is resolved
   // kDeadlineExceeded without touching an engine — the client has given
   // up, so the cheapest correct answer is no work at all. It consumed its
   // positional seq at admission, so the surviving stream's seeds are
@@ -443,9 +432,6 @@ ServiceStats QueryService::Stats() const {
     stats.p95_seconds = latencies_.Quantile(0.95);
     stats.p99_seconds = latencies_.Quantile(0.99);
     stats.aggregate_cost = aggregate_cost_;
-    stats.aggregate_cost.latency_p50_seconds = stats.p50_seconds;
-    stats.aggregate_cost.latency_p95_seconds = stats.p95_seconds;
-    stats.aggregate_cost.latency_p99_seconds = stats.p99_seconds;
   }
   if (cache_ != nullptr) {
     // Outside mu_: the cache has its own mutex and the two are never

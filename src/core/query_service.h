@@ -89,9 +89,9 @@ struct QueryRequest {
 struct QueryResult {
   /// kNotFound for a foreign algo, kInvalidArgument for an out-of-range
   /// source or a service without an engine,
-  /// kResourceExhausted when rejected by backpressure or shed in degraded
-  /// mode, kDeadlineExceeded when the deadline expired (at admission,
-  /// waiting for queue capacity, in the queue, or via predictive shedding),
+  /// kResourceExhausted when rejected by backpressure, kDeadlineExceeded
+  /// when the deadline expired (at admission, waiting for queue capacity,
+  /// at worker pickup, or via predictive shedding),
   /// kInternal when the engine threw; scores are only meaningful when ok().
   Status status;
   ScoreList scores;
@@ -109,7 +109,9 @@ struct QueryServiceOptions {
   size_t max_queue = 1024;
   enum class Backpressure {
     kBlock,   ///< Submit() blocks until a slot frees up
-    kReject,  ///< Submit() resolves immediately with kResourceExhausted
+    /// Submit() resolves immediately with kResourceExhausted. Cache hits
+    /// resolve before the queue, so they keep answering meanwhile.
+    kReject,
   };
   Backpressure backpressure = Backpressure::kBlock;
   /// Byte budget for the hot-source result cache (0 = cache disabled, the
@@ -117,12 +119,6 @@ struct QueryServiceOptions {
   /// core/result_cache.h for the determinism argument. Cache hits resolve
   /// before the bounded queue and cannot be backpressured.
   size_t cache_bytes = 0;
-  /// Degraded overload mode: a request that finds the queue full is shed
-  /// immediately (kResourceExhausted, counted in ServiceStats::shed)
-  /// instead of blocking or queueing behind `backpressure`. Cache hits
-  /// resolve before the queue and keep answering — the overloaded-replica
-  /// posture of "serve what's cheap, shed what's doomed".
-  bool degraded = false;
 };
 
 /// Snapshot of the service's lifetime counters and latency percentiles.
@@ -132,12 +128,11 @@ struct ServiceStats {
   uint64_t failed = 0;     ///< invalid requests or engine failures
   uint64_t rejected = 0;   ///< refused by the kReject backpressure policy
   /// Requests resolved with kDeadlineExceeded: expired at admission, timed
-  /// out waiting for queue capacity, or swept at worker pickup after
-  /// expiring in the queue. Disjoint from `shed`. Shard aggregations sum.
+  /// out waiting for queue capacity, or expired in the queue (found at
+  /// worker pickup). Disjoint from `shed`. Shard aggregations sum.
   uint64_t deadline_exceeded = 0;
-  /// Requests refused at admission by overload control: predictive
-  /// shedding (queue wait forecasts a deadline miss) and degraded-mode
-  /// shedding of a full queue. Disjoint from `rejected` and
+  /// Requests refused at admission by predictive shedding (the queue wait
+  /// forecasts a deadline miss). Disjoint from `rejected` and
   /// `deadline_exceeded`. Shard aggregations sum.
   uint64_t shed = 0;
   /// Peak in-flight (queued + executing) requests — how close the bounded
@@ -155,11 +150,19 @@ struct ServiceStats {
   uint64_t cache_coalesced = 0;
   uint64_t cache_evictions = 0;
   uint64_t cache_bytes = 0;
-  /// Summed QueryCost counters over completed queries, with the latency
-  /// percentiles mirrored into its latency_p* fields. Cache hits and
-  /// coalesced waiters contribute latency but no cost — no engine ran.
+  /// Summed QueryCost counters over completed queries (its latency_p*
+  /// fields stay 0; the percentiles are the p*_seconds above). Cache hits
+  /// and coalesced waiters contribute latency but no cost — no engine ran.
   QueryCost aggregate_cost;
 };
+
+/// Resolves a request's deadline fields to one absolute time point
+/// (time_point::max() = none): deadline_at wins over the relative
+/// deadline_ms budget, which counts from now. A request is already expired
+/// when the result is not max() and now() has reached it; deadline_ms = 0
+/// always is.
+std::chrono::steady_clock::time_point ResolveDeadline(
+    const QueryRequest& request);
 
 /// Renders the stats as one self-describing JSON line (no trailing
 /// newline): {"event":"serve_stats","transport":"...",...}. Every serve

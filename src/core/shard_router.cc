@@ -51,7 +51,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     service_options.max_queue = options.max_queue;
     service_options.backpressure = options.backpressure;
     service_options.cache_bytes = options.cache_bytes;
-    service_options.degraded = options.degraded;
     auto service = std::make_unique<QueryService>(service_options);
     if (!shard.index_path.empty()) {
       PRSIM_RETURN_NOT_OK(service->AddEngineFromIndex(
@@ -93,17 +92,17 @@ std::future<QueryResult> ShardRouter::SubmitRequest(QueryRequest request) {
   // carries a zero budget) is refused BEFORE consuming a global stream
   // position, like invalid requests — so deadline refusals on one shard
   // never shift the positional seeds any other shard sees. Live deadlines
-  // flow through to the owner shard, which enforces them at admission, in
-  // the queue, and at worker pickup.
-  const bool already_expired =
-      (request.deadline_at != std::chrono::steady_clock::time_point::max() &&
-       std::chrono::steady_clock::now() >= request.deadline_at) ||
-      request.deadline_ms == 0;
-  if (already_expired) {
+  // flow through to the owner shard as the absolute time resolved here,
+  // and it enforces them at admission, waiting for capacity, and at worker
+  // pickup.
+  const auto deadline = ResolveDeadline(request);
+  if (deadline != std::chrono::steady_clock::time_point::max() &&
+      std::chrono::steady_clock::now() >= deadline) {
     expired_at_router_.fetch_add(1, std::memory_order_relaxed);
     return ReadyError(
         Status::DeadlineExceeded("deadline expired before routing"));
   }
+  request.deadline_at = deadline;
   // Each shard service has exactly one engine; the empty key selects it
   // regardless of how the manifest spells the registry name.
   request.algo.clear();
@@ -142,9 +141,6 @@ ServiceStats ShardRouter::Stats() const {
   total.p50_seconds = latencies.Quantile(0.50);
   total.p95_seconds = latencies.Quantile(0.95);
   total.p99_seconds = latencies.Quantile(0.99);
-  total.aggregate_cost.latency_p50_seconds = total.p50_seconds;
-  total.aggregate_cost.latency_p95_seconds = total.p95_seconds;
-  total.aggregate_cost.latency_p99_seconds = total.p99_seconds;
   return total;
 }
 

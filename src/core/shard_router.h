@@ -48,9 +48,6 @@ struct ShardRouterOptions {
   /// shards * cache_bytes and the aggregated Stats() hit counters read
   /// like one cache's.
   size_t cache_bytes = 0;
-  /// Per-shard degraded overload mode (QueryServiceOptions::degraded):
-  /// full queues shed instead of blocking, cache hits keep answering.
-  bool degraded = false;
 };
 
 class ShardRouter {

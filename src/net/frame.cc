@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -68,11 +69,9 @@ Status Truncated(const char* what) {
 
 void EncodeRequest(const WireRequest& request, std::vector<char>* out) {
   out->clear();
-  // Deadline-free requests stay version-1 byte-identical — the upgrade is
-  // invisible to old decoders until a deadline actually travels.
   const bool has_deadline =
       request.deadline_ms != QueryRequest::kNoDeadline;
-  Append<uint8_t>(out, has_deadline ? kFrameVersionDeadline : kFrameVersion);
+  Append<uint8_t>(out, kFrameVersion);
   uint8_t flags = 0;
   if (request.fresh_seed) flags |= kFlagFreshSeed;
   if (request.seed_position != QueryRequest::kServiceOrder) {
@@ -84,11 +83,10 @@ void EncodeRequest(const WireRequest& request, std::vector<char>* out) {
   Append<uint32_t>(out, request.source);
   Append<uint32_t>(out, request.k);
   Append<uint64_t>(out, request.seed_position);
-  if (has_deadline) {
-    const uint64_t clamped =
-        request.deadline_ms > UINT32_MAX ? UINT32_MAX : request.deadline_ms;
-    Append<uint32_t>(out, static_cast<uint32_t>(clamped));
-  }
+  // Budgets beyond u32 range clamp rather than wrap.
+  const uint64_t deadline_ms =
+      has_deadline ? std::min<uint64_t>(request.deadline_ms, UINT32_MAX) : 0;
+  Append<uint32_t>(out, static_cast<uint32_t>(deadline_ms));
   AppendBytes(out, request.algo.data(), request.algo.size());
 }
 
@@ -111,27 +109,22 @@ Result<WireRequest> DecodeRequest(const std::vector<char>& payload) {
   Cursor cursor(payload);
   uint8_t version = 0, flags = 0;
   uint16_t algo_len = 0;
+  uint32_t deadline_ms = 0;
   WireRequest request;
-  if (!cursor.Read(&version) || !cursor.Read(&flags) ||
-      !cursor.Read(&algo_len) || !cursor.Read(&request.source) ||
-      !cursor.Read(&request.k) || !cursor.Read(&request.seed_position)) {
-    return Truncated("request");
-  }
-  if (version != kFrameVersion && version != kFrameVersionDeadline) {
+  if (!cursor.Read(&version)) return Truncated("request");
+  if (version != kFrameVersion) {
     return Status::InvalidArgument("unsupported request frame version " +
                                    std::to_string(version));
   }
-  if (version >= kFrameVersionDeadline) {
-    uint32_t deadline_ms = 0;
-    if (!cursor.Read(&deadline_ms)) return Truncated("request");
-    // The field is always present in a v2 frame; the flag says whether it
-    // means anything (a v2 encoder that clears the deadline mid-stream
-    // need not drop back to v1).
-    if ((flags & kFlagHasDeadline) != 0) request.deadline_ms = deadline_ms;
+  if (!cursor.Read(&flags) || !cursor.Read(&algo_len) ||
+      !cursor.Read(&request.source) || !cursor.Read(&request.k) ||
+      !cursor.Read(&request.seed_position) || !cursor.Read(&deadline_ms)) {
+    return Truncated("request");
   }
   if (!cursor.ReadString(algo_len, &request.algo) || !cursor.exhausted()) {
     return Truncated("request");
   }
+  if ((flags & kFlagHasDeadline) != 0) request.deadline_ms = deadline_ms;
   request.fresh_seed = (flags & kFlagFreshSeed) != 0;
   if ((flags & kFlagExplicitPosition) == 0) {
     request.seed_position = QueryRequest::kServiceOrder;

@@ -16,17 +16,15 @@
 //   payload:
 //     request:  u8 version, u8 flags (bit0 fresh_seed, bit1 explicit
 //               seed_position, bit2 has_deadline), u16 algo_len,
-//               u32 source, u32 k, u64 seed_position,
-//               [v2: u32 deadline_ms], algo bytes
+//               u32 source, u32 k, u64 seed_position, u32 deadline_ms,
+//               algo bytes
 //     response: u8 version, u8 status_code (StatusCode), u16 reserved,
 //               u32 source, u32 score_count, u32 error_len,
 //               score_count x { u32 node, f64 score }, error bytes
 //
-// Request versioning: version 1 has no deadline field; version 2 appends a
-// u32 deadline_ms after seed_position, meaningful only when the
-// has_deadline flag is set. The encoder emits version 1 for deadline-free
-// requests (old servers keep working untouched) and version 2 only when a
-// deadline travels; the decoder accepts both.
+// Every request carries the deadline_ms field; it holds a budget only when
+// the has_deadline flag is set. Both directions carry kFrameVersion, and a
+// frame of any other version is refused.
 //
 // Encode/decode are pure byte-vector transforms (unit-testable without a
 // socket); ReadFrame/WriteFrame do the fd I/O.
@@ -46,9 +44,8 @@ namespace prsim {
 namespace net {
 
 inline constexpr char kBinaryMagic[4] = {'P', 'R', 'S', 'B'};
-inline constexpr uint8_t kFrameVersion = 1;
-/// Request-frame version carrying the optional deadline_ms field.
-inline constexpr uint8_t kFrameVersionDeadline = 2;
+/// Version 1 request frames had no deadline_ms field.
+inline constexpr uint8_t kFrameVersion = 2;
 /// Upper bound on one frame's payload: a full single-source result on a
 /// 16M-node graph fits with room to spare; anything larger is a corrupt or
 /// hostile length prefix, rejected before allocation.
@@ -62,8 +59,8 @@ struct WireRequest {
   uint64_t seed_position = QueryRequest::kServiceOrder;
   bool fresh_seed = false;
   /// Relative deadline budget (QueryRequest::kNoDeadline = none). Travels
-  /// as a u32 in version-2 frames; the encoder clamps larger finite
-  /// budgets to u32 max (~49 days — far beyond any real query budget).
+  /// as a u32; the encoder clamps larger finite budgets to u32 max
+  /// (~49 days — far beyond any real query budget).
   uint64_t deadline_ms = QueryRequest::kNoDeadline;
 
   QueryRequest ToQueryRequest() const {

@@ -1,7 +1,6 @@
 // Tests for the unified engine API: EngineConfig parsing/validation, the
 // string-keyed EngineRegistry, the grown SingleSourceSimRank surface
-// (QueryTopK / QueryPair / CloneWithSeed / QueryCost), TopK semantics, and
-// the generalized BatchQuery.
+// (QueryTopK / QueryPair / CloneWithSeed / QueryCost), and TopK semantics.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <set>
 #include <string>
 
-#include "core/batch_query.h"
 #include "core/engine_config.h"
 #include "core/engine_registry.h"
 #include "core/prsim.h"
@@ -344,53 +342,6 @@ TEST(TopKTest, KEqualToPoolKeepsOrderStable) {
 TEST(TopKTest, KZeroIsEmpty) {
   const ScoreList scores = {{1, 0.5}, {2, 0.4}};
   EXPECT_TRUE(TopK(scores, 0, 1).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Generalized BatchQuery
-// ---------------------------------------------------------------------------
-
-TEST(BatchQueryTest, GenericPathMatchesPRSimOverloadBitForBit) {
-  Graph g = MakeRandomDigraph(300, 1500, 21);
-  PRSimOptions options;
-  options.eps = 0.2;
-  options.seed = 77;
-  PRSim leader(g, options);
-  ASSERT_TRUE(leader.Preprocess().ok());
-  const std::vector<NodeId> sources = {3, 50, 3, 120, 299};
-
-  // The historical positional-seed scheme (PRSim-specific overload) and the
-  // CloneWithSeed-based generic path must agree exactly.
-  const auto via_overload = BatchQuery(g, leader, options, sources, 2);
-  const auto via_generic = BatchQuery(leader, sources, 3);
-  ASSERT_EQ(via_overload.size(), via_generic.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(via_overload[i], via_generic[i]) << "source index " << i;
-  }
-  // Seeds are positional, so a duplicated source re-sampled at another
-  // position gives a fresh (thread-count independent) estimate, while
-  // repeating the whole batch reproduces it exactly.
-  const auto repeat = BatchQuery(leader, sources, 1);
-  EXPECT_EQ(via_generic[2], repeat[2]);
-}
-
-TEST(BatchQueryTest, WorksForIndexFreeAndBaselineEngines) {
-  Graph g = MakeCitationGraph();
-  for (const std::string& name : {"probesim", "reads", "montecarlo"}) {
-    SCOPED_TRACE(name);
-    auto leader = EngineRegistry::Global()
-                      .Create(name, g, RoundTripParams(name))
-                      .MoveValueUnsafe();
-    ASSERT_TRUE(leader->Preprocess().ok());
-    const std::vector<NodeId> sources = {0, 4, 7};
-    const auto serial = BatchQuery(*leader, sources, 1);
-    const auto parallel = BatchQuery(*leader, sources, 3);
-    ASSERT_EQ(serial.size(), 3u);
-    for (size_t i = 0; i < sources.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << "thread-count invariance";
-      EXPECT_DOUBLE_EQ(ScoreOf(serial[i], sources[i]), 1.0);
-    }
-  }
 }
 
 }  // namespace

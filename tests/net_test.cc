@@ -76,9 +76,7 @@ TEST(FrameTest, RequestDefaultsRoundTrip) {
   EXPECT_TRUE(decoded.ValueOrDie().fresh_seed);
 }
 
-TEST(FrameTest, DeadlineFreeRequestsStayVersion1OnTheWire) {
-  // Back-compat contract: a request without a deadline must encode exactly
-  // as it always has, so old decoders keep working untouched.
+TEST(FrameTest, EveryRequestCarriesTheDeadlineField) {
   net::WireRequest request;
   request.algo = "prsim";
   request.source = 7;
@@ -87,22 +85,18 @@ TEST(FrameTest, DeadlineFreeRequestsStayVersion1OnTheWire) {
   net::EncodeRequest(request, &payload);
   ASSERT_FALSE(payload.empty());
   EXPECT_EQ(static_cast<uint8_t>(payload[0]), net::kFrameVersion);
-  // v1 layout: u8 version, u8 flags, u16 algo_len, u32 source, u32 k,
-  // u64 seed_position, algo bytes — no deadline field.
-  EXPECT_EQ(payload.size(), 1 + 1 + 2 + 4 + 4 + 8 + request.algo.size());
-}
-
-TEST(FrameTest, DeadlineRequestsRoundTripAsVersion2) {
-  net::WireRequest request;
-  request.algo = "prsim";
-  request.source = 7;
-  request.k = 5;
-  request.deadline_ms = 250;
-  std::vector<char> payload;
-  net::EncodeRequest(request, &payload);
-  ASSERT_FALSE(payload.empty());
-  EXPECT_EQ(static_cast<uint8_t>(payload[0]), net::kFrameVersionDeadline);
+  // u8 version, u8 flags, u16 algo_len, u32 source, u32 k,
+  // u64 seed_position, u32 deadline_ms, algo bytes.
+  const size_t layout = 1 + 1 + 2 + 4 + 4 + 8 + 4 + request.algo.size();
+  EXPECT_EQ(payload.size(), layout);
   auto decoded = net::DecodeRequest(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.ValueOrDie().deadline_ms, QueryRequest::kNoDeadline);
+
+  request.deadline_ms = 250;
+  net::EncodeRequest(request, &payload);
+  EXPECT_EQ(payload.size(), layout);
+  decoded = net::DecodeRequest(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.ValueOrDie().deadline_ms, 250u);
   EXPECT_EQ(decoded.ValueOrDie().algo, "prsim");
@@ -123,16 +117,36 @@ TEST(FrameTest, DeadlineRequestsRoundTripAsVersion2) {
   EXPECT_EQ(decoded.ValueOrDie().deadline_ms, 0xFFFFFFFFull);
 }
 
-TEST(FrameTest, TruncatedDeadlineRequestsAreRejected) {
+TEST(FrameTest, UnknownVersionsAreRejected) {
   net::WireRequest request;
   request.algo = "prsim";
-  request.deadline_ms = 123;
-  std::vector<char> payload;
-  net::EncodeRequest(request, &payload);
-  for (size_t len = 0; len < payload.size(); ++len) {
-    std::vector<char> cut(payload.begin(), payload.begin() + len);
-    EXPECT_FALSE(net::DecodeRequest(cut).ok()) << "len=" << len;
+  std::vector<char> request_payload;
+  net::EncodeRequest(request, &request_payload);
+  net::WireResponse response;
+  response.scores = {{1, 0.5}};
+  std::vector<char> response_payload;
+  net::EncodeResponse(response, &response_payload);
+  for (const uint8_t version : {uint8_t{1}, uint8_t{3}, uint8_t{255}}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    request_payload[0] = static_cast<char>(version);
+    const auto decoded_request = net::DecodeRequest(request_payload);
+    ASSERT_FALSE(decoded_request.ok());
+    EXPECT_NE(decoded_request.status().message().find(
+                  "unsupported request frame version " +
+                  std::to_string(version)),
+              std::string::npos);
+    response_payload[0] = static_cast<char>(version);
+    EXPECT_FALSE(net::DecodeResponse(response_payload).ok());
   }
+  // A version-1 request had no deadline_ms field: it is refused by its
+  // version, not misread.
+  std::vector<char> v1_payload = request_payload;
+  v1_payload[0] = 1;
+  v1_payload.erase(v1_payload.begin() + 20, v1_payload.begin() + 24);
+  const auto v1 = net::DecodeRequest(v1_payload);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_NE(v1.status().message().find("unsupported request frame version 1"),
+            std::string::npos);
 }
 
 TEST(FrameTest, ResponseRoundTripsScoresBitForBit) {
@@ -194,6 +208,23 @@ TEST(FrameTest, TrailingGarbageIsRejected) {
   net::EncodeRequest(request, &payload);
   payload.push_back('x');
   EXPECT_FALSE(net::DecodeRequest(payload).ok());
+}
+
+TEST(FrameTest, OversizedLengthPrefixIsRejectedBeforeReading) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const uint32_t length = net::kMaxFramePayload + 1;
+  ASSERT_EQ(::write(fds[1], &length, sizeof(length)),
+            static_cast<ssize_t>(sizeof(length)));
+  std::vector<char> payload;
+  bool eof = false;
+  const Status status = net::ReadFrame(fds[0], &payload, &eof);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("exceeds"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(payload.empty());
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(FrameTest, LyingScoreCountIsRejected) {

@@ -301,16 +301,12 @@ TEST(PRSimTest, BatchQueryMatchesAccuracyAndIsThreadCountInvariant) {
   ASSERT_TRUE(leader.Preprocess().ok());
 
   std::vector<NodeId> sources = {0, 5, 10, 15, 20, 25, 30, 35};
-  auto serial = BatchQuery(g, leader, options, sources, /*threads=*/1);
-  auto parallel = BatchQuery(g, leader, options, sources, /*threads=*/4);
+  auto serial = BatchQuery(leader, sources, /*threads=*/1);
+  auto parallel = BatchQuery(leader, sources, /*threads=*/4);
   ASSERT_EQ(serial.size(), sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
-    // Determinism across thread counts.
-    auto a = serial[i];
-    auto b = parallel[i];
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << i;
+    // Determinism across thread counts, bit for bit.
+    EXPECT_EQ(serial[i], parallel[i]) << i;
     // Accuracy against the oracle.
     for (NodeId v = 0; v < g.n(); ++v) {
       EXPECT_NEAR(ScoreOf(serial[i], v), oracle.SimRank(sources[i], v),

@@ -1,5 +1,6 @@
 // QueryService + pool-backed BatchQuery: deterministic batch results at any
-// thread count, bounded-queue backpressure, failure isolation, latency
+// thread count and positional seeds, engine exceptions rethrown after every
+// chunk finishes, bounded-queue backpressure, failure isolation, latency
 // percentile monotonicity, and cold start from index artifacts.
 
 #include "core/query_service.h"
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/batch_query.h"
 #include "core/engine_config.h"
 #include "core/engine_registry.h"
+#include "core/prsim.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
@@ -258,6 +261,7 @@ class FakeEngine : public SingleSourceSimRank {
  public:
   struct Control {
     std::atomic<int> queries{0};
+    std::atomic<int> clones{0};
     NodeId poison_source = static_cast<NodeId>(-1);
     std::chrono::milliseconds delay{0};
   };
@@ -284,6 +288,7 @@ class FakeEngine : public SingleSourceSimRank {
 
   std::unique_ptr<SingleSourceSimRank> CloneWithSeed(
       uint64_t seed) const override {
+    control_->clones.fetch_add(1);
     return std::make_unique<FakeEngine>(n_, seed, control_);
   }
   uint64_t seed() const override { return seed_; }
@@ -294,6 +299,97 @@ class FakeEngine : public SingleSourceSimRank {
   uint64_t seed_;
   std::shared_ptr<Control> control_;
 };
+
+TEST(BatchQueryPoolTest, EngineExceptionRethrowsAfterEveryChunkFinishes) {
+  // Nine sources in three static chunks of three, one poisoned source per
+  // run. Its chunk stops there; the other two chunks answer all three of
+  // their sources, and only then does the call rethrow on the caller.
+  for (size_t poisoned_chunk : {0u, 1u, 2u}) {
+    SCOPED_TRACE(poisoned_chunk);
+    auto control = std::make_shared<FakeEngine::Control>();
+    control->poison_source = 40;
+    control->delay = std::chrono::milliseconds(10);
+    const FakeEngine leader(50, 1, control);
+    std::vector<NodeId> sources = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    sources[poisoned_chunk * 3 + 1] = 40;
+    try {
+      BatchQueryWithStats(leader, sources, /*threads=*/3);
+      ADD_FAILURE() << "the poisoned source did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "poisoned source");
+    }
+    // 2 queries in the poisoned chunk (the second one threw) + 3 + 3.
+    EXPECT_EQ(control->queries.load(), 8);
+  }
+}
+
+TEST(BatchQueryPoolTest, MintsOneClonePerStaticChunk) {
+  // `threads` static chunks of ceil(n / threads) sources, capped at one
+  // source per chunk; each chunk mints one clone.
+  const struct {
+    size_t sources;
+    size_t threads;
+    int chunks;
+  } kCases[] = {{9, 1, 1}, {9, 3, 3}, {10, 4, 4}, {5, 4, 3}, {5, 8, 5}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(std::to_string(c.sources) + " sources, " +
+                 std::to_string(c.threads) + " threads");
+    auto control = std::make_shared<FakeEngine::Control>();
+    const FakeEngine leader(50, 1, control);
+    BatchQuery(leader, CyclingSources(50, c.sources), c.threads);
+    EXPECT_EQ(control->clones.load(), c.chunks);
+    EXPECT_EQ(control->queries.load(), static_cast<int>(c.sources));
+  }
+}
+
+TEST(BatchQueryPoolTest, EachPositionAnswersLikeAPRSimSeededForIt) {
+  // The positional-seed scheme, pinned: position i of a batch answers
+  // exactly as a PRSim seeded BatchQuerySeed(leader seed, i) that shares
+  // the leader's index, whichever chunk runs it.
+  const Graph g = MakeRandomDigraph(300, 1500, /*seed=*/21);
+  PRSimOptions options;
+  options.eps = 0.2;
+  options.seed = 77;
+  PRSim leader(g, options);
+  ASSERT_TRUE(leader.Preprocess().ok());
+  const std::vector<NodeId> sources = {3, 50, 3, 120, 299};
+  const auto batch = BatchQuery(leader, sources, /*threads=*/3);
+  ASSERT_EQ(batch.size(), sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    PRSimOptions per_position = options;
+    per_position.seed = internal::BatchQuerySeed(options.seed, i);
+    PRSim engine(g, per_position);
+    engine.ShareIndexFrom(leader);
+    EXPECT_EQ(engine.Query(sources[i]), batch[i]) << "position " << i;
+  }
+  // A duplicated source is a fresh estimate at its own position, and the
+  // whole batch repeats exactly.
+  EXPECT_NE(batch[0], batch[2]);
+  EXPECT_EQ(BatchQuery(leader, sources, /*threads=*/1), batch);
+}
+
+TEST(BatchQueryPoolTest, IndexFreeEnginesAreThreadCountInvariant) {
+  const Graph g = MakeRandomDigraph(40, 160, /*seed=*/13);
+  const struct {
+    const char* algo;
+    const char* params;
+  } kConfigs[] = {
+      {"probesim", "eps=0.4,seed=7"},
+      {"montecarlo", "samples=500,seed=7"},
+  };
+  const std::vector<NodeId> sources = {0, 4, 7};
+  for (const auto& config : kConfigs) {
+    SCOPED_TRACE(config.algo);
+    const auto leader = MakeReadyEngine(g, config.algo, config.params);
+    const auto serial = BatchQuery(*leader, sources, /*threads=*/1);
+    const auto parallel = BatchQuery(*leader, sources, /*threads=*/3);
+    ASSERT_EQ(serial.size(), sources.size());
+    for (size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(serial[i], parallel[i]) << "position " << i;
+      EXPECT_DOUBLE_EQ(ScoreOf(serial[i], sources[i]), 1.0);
+    }
+  }
+}
 
 TEST(QueryServiceTest, EngineExceptionDoesNotPoisonThePool) {
   auto control = std::make_shared<FakeEngine::Control>();
@@ -356,6 +452,58 @@ TEST(QueryServiceTest, RejectPolicyShedsLoadWhenQueueIsFull) {
   EXPECT_EQ(stats.completed, completed);
 }
 
+TEST(QueryServiceTest, RejectPolicyAnswersCacheHitsWhileRefusingMisses) {
+  auto control = std::make_shared<FakeEngine::Control>();
+  QueryServiceOptions options;
+  options.threads = 1;
+  // max_queue bounds queued + executing: busy + queued fill it below.
+  options.max_queue = 2;
+  options.cache_bytes = 1 << 20;
+  options.backpressure = QueryServiceOptions::Backpressure::kReject;
+  QueryService service(options);
+  ASSERT_TRUE(
+      service.AddEngine("fake", std::make_unique<FakeEngine>(50, 1, control))
+          .ok());
+
+  // Warm the cache with a fresh-seed answer for source 5.
+  QueryRequest warm;
+  warm.algo = "fake";
+  warm.source = 5;
+  warm.fresh_seed = true;
+  ASSERT_TRUE(service.Submit(std::move(warm)).get().status.ok());
+
+  // Saturate the service: one request executing (~150 ms), one queued.
+  control->delay = std::chrono::milliseconds(150);
+  auto busy = service.Submit({"fake", 1, 0});
+  auto queued = service.Submit({"fake", 2, 0});
+
+  // A cache hit still answers instantly — no queue involved...
+  QueryRequest hit;
+  hit.algo = "fake";
+  hit.source = 5;
+  hit.fresh_seed = true;
+  const QueryResult hit_result = service.Submit(std::move(hit)).get();
+  EXPECT_TRUE(hit_result.status.ok()) << hit_result.status.ToString();
+
+  // ...while a cache miss finds the queue full and is refused at once.
+  QueryRequest miss;
+  miss.algo = "fake";
+  miss.source = 7;
+  miss.fresh_seed = true;
+  const QueryResult refused = service.Submit(std::move(miss)).get();
+  EXPECT_EQ(refused.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status.message().find("query queue full (2)"),
+            std::string::npos)
+      << refused.status.ToString();
+
+  EXPECT_TRUE(busy.get().status.ok());
+  EXPECT_TRUE(queued.get().status.ok());
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+}
+
 TEST(QueryServiceTest, BlockPolicyCompletesEverythingWithTinyQueue) {
   auto control = std::make_shared<FakeEngine::Control>();
   control->delay = std::chrono::milliseconds(2);
@@ -380,7 +528,7 @@ TEST(QueryServiceTest, BlockPolicyCompletesEverythingWithTinyQueue) {
   EXPECT_EQ(stats.rejected, 0u);
 }
 
-TEST(QueryServiceTest, LatencyPercentilesAreMonotoneAndSurfacedInQueryCost) {
+TEST(QueryServiceTest, LatencyPercentilesAreMonotoneAndCostsSum) {
   auto control = std::make_shared<FakeEngine::Control>();
   control->delay = std::chrono::milliseconds(1);
   QueryServiceOptions options;
@@ -401,9 +549,6 @@ TEST(QueryServiceTest, LatencyPercentilesAreMonotoneAndSurfacedInQueryCost) {
   EXPECT_GT(stats.p50_seconds, 0.0);
   EXPECT_LE(stats.p50_seconds, stats.p95_seconds);
   EXPECT_LE(stats.p95_seconds, stats.p99_seconds);
-  EXPECT_EQ(stats.aggregate_cost.latency_p50_seconds, stats.p50_seconds);
-  EXPECT_EQ(stats.aggregate_cost.latency_p95_seconds, stats.p95_seconds);
-  EXPECT_EQ(stats.aggregate_cost.latency_p99_seconds, stats.p99_seconds);
   EXPECT_EQ(stats.aggregate_cost.walks, 40u);
 }
 
@@ -583,59 +728,6 @@ TEST(QueryServiceDeadlineTest, PredictiveShedRefusesDoomedRequests) {
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.deadline_exceeded, 0u);
   EXPECT_EQ(stats.completed, 4u);
-}
-
-TEST(QueryServiceDeadlineTest, DegradedModeAnswersCacheHitsWhileShedding) {
-  auto control = std::make_shared<FakeEngine::Control>();
-  QueryServiceOptions options;
-  options.threads = 1;
-  // max_queue bounds queued + executing: busy + queued fill it below.
-  options.max_queue = 2;
-  options.cache_bytes = 1 << 20;
-  options.degraded = true;
-  QueryService service(options);
-  ASSERT_TRUE(
-      service.AddEngine("fake", std::make_unique<FakeEngine>(50, 1, control))
-          .ok());
-
-  // Warm the cache with a fresh-seed answer for source 5.
-  QueryRequest warm;
-  warm.algo = "fake";
-  warm.source = 5;
-  warm.fresh_seed = true;
-  ASSERT_TRUE(service.Submit(std::move(warm)).get().status.ok());
-
-  // Saturate the service: one request executing (~150 ms), one queued.
-  control->delay = std::chrono::milliseconds(150);
-  auto busy = service.Submit({"fake", 1, 0});
-  auto queued = service.Submit({"fake", 2, 0});
-
-  // A cache hit still answers instantly — no queue involved...
-  QueryRequest hit;
-  hit.algo = "fake";
-  hit.source = 5;
-  hit.fresh_seed = true;
-  const QueryResult hit_result = service.Submit(std::move(hit)).get();
-  EXPECT_TRUE(hit_result.status.ok()) << hit_result.status.ToString();
-
-  // ...while a cache miss finds the queue full and is shed immediately
-  // instead of blocking (the configured backpressure is kBlock).
-  QueryRequest miss;
-  miss.algo = "fake";
-  miss.source = 7;
-  miss.fresh_seed = true;
-  const QueryResult shed = service.Submit(std::move(miss)).get();
-  EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(shed.status.message().find("shed: queue full (degraded mode)"),
-            std::string::npos)
-      << shed.status.ToString();
-
-  EXPECT_TRUE(busy.get().status.ok());
-  EXPECT_TRUE(queued.get().status.ok());
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.rejected, 0u);
 }
 
 TEST(QueryServiceFaultTest, InjectedEngineThrowsReplayDeterministically) {

@@ -54,7 +54,7 @@
 //   prsim_cli serve     --graph g.txt (--stdin | --listen PORT)
 //                       [--algo prsim] [--index g.idx] [--params k=v,k=v]
 //                       [--k 20] [--threads T] [--queue N] [--reject]
-//                       [--degraded] [--max-connections N]
+//                       [--max-connections N]
 //                       [--idle-timeout-ms MS] [--io-timeout-ms MS]
 //                       [--faults SPEC] [--fault-seed S]
 //       Alternatively: prsim_cli serve --manifest DIR/manifest.bin ...
@@ -86,9 +86,9 @@
 //       responses, exit 0. Every serve exit prints final ServiceStats as
 //       one JSON line on stderr ({"event":"serve_stats",...}).
 //       Robustness knobs: text requests may carry "deadline_ms=N" (binary
-//       frames a v2 deadline field); expired requests resolve with
+//       frames a deadline field); expired requests resolve with
 //       kDeadlineExceeded and never shift the positional seeds of the
-//       surviving stream. --degraded sheds queue-full requests immediately
+//       surviving stream. --reject refuses queue-full requests at once
 //       while cache hits keep answering. --idle-timeout-ms reaps
 //       connections that stop talking; --io-timeout-ms bounds each
 //       response write. --faults "name=num/den[:stall_ms],..." (or
@@ -964,7 +964,6 @@ int OpenServeBackend(const Flags& flags, ServeBackend* backend) {
     options.max_queue = max_queue;
     options.backpressure = backpressure;
     options.cache_bytes = cache_bytes;
-    options.degraded = flags.Has("degraded");
     auto router_result = ShardRouter::Open(spec.manifest_path, options);
     if (!router_result.ok()) {
       std::fprintf(stderr, "%s\n", router_result.status().ToString().c_str());
@@ -998,7 +997,6 @@ int OpenServeBackend(const Flags& flags, ServeBackend* backend) {
   options.max_queue = max_queue;
   options.backpressure = backpressure;
   options.cache_bytes = cache_bytes;
-  options.degraded = flags.Has("degraded");
   backend->service = std::make_unique<QueryService>(options);
   WallTimer start_timer;
   Status st = spec.index_path.empty()
@@ -1433,7 +1431,7 @@ int main(int argc, char** argv) {
                      "queue", "listen", "max-connections", "cache-mb",
                      "faults", "fault-seed", "idle-timeout-ms",
                      "io-timeout-ms"},
-                    {"stdin", "reject", "paper-constants", "degraded"},
+                    {"stdin", "reject", "paper-constants"},
                     CmdServe);
   }
   if (command == "client") {

@@ -1,7 +1,7 @@
 // Google-benchmark micro suite for the library's hot primitives: walk
 // sampling, meeting tests, backward search/walks, reverse PageRank, CSR
-// construction, the FlatHashMap2 accumulator vs std::unordered_map, and
-// cold graph artifact loads (mmap vs read() fallback).
+// construction, the FlatHashMap2 accumulator vs std::unordered_map, top-k
+// selection, and cold graph artifact loads (mmap vs read() fallback).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "core/single_source.h"
 #include "gen/chung_lu.h"
 #include "graph/graph.h"
 #include "graph/io.h"
@@ -164,6 +165,23 @@ void BM_StdUnorderedMapAccumulate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StdUnorderedMapAccumulate);
+
+// Top-10 of a 20k-entry score list: the size of a PRSim answer on the
+// Chung-Lu n=200k serving graph, and the selection every uncached top-k
+// reply and every result-cache hit runs.
+void BM_TopK(benchmark::State& state) {
+  Rng rng(9);
+  ScoreList scores;
+  for (NodeId v = 0; v < 20000; ++v) {
+    const double x = rng.NextDouble();
+    scores.emplace_back(v, x * x * x);  // skewed: few large scores
+  }
+  scores.emplace_back(20000, 1.0);  // the source itself
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TopK(scores, 10, 20000));
+  }
+}
+BENCHMARK(BM_TopK);
 
 void BM_AliasTableSample(benchmark::State& state) {
   auto weights = PowerLawWeights(100000, 2.0, 10.0);

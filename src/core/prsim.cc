@@ -15,14 +15,14 @@
 namespace prsim {
 
 /// Pooled per-engine scratch for the chunked query path. Everything here is
-/// reused across queries: FlatHashMap::clear() and vector::clear() retain
+/// reused across queries: FlatHashMap2::clear() and vector::clear() retain
 /// capacity, so steady-state queries allocate nothing per walk (and, once
 /// the touched-node set stabilizes, nothing at all).
 ///
-/// Every accumulator map is paired with a vector of its keys in insertion
-/// order, and every pass that feeds ordered work — RNG draws, float sums
-/// into a shared cell, result emission — iterates the vector, never the
-/// map. Map slot layout depends on the capacity retained from earlier
+/// Every pass that feeds ordered work — RNG draws, float sums into a shared
+/// cell, result emission — follows insertion order: FlatHashMap2::ForEach
+/// walks the map's journal, and the score accumulator keeps first-touch
+/// vectors. Map slot layout depends on the capacity retained from earlier
 /// queries; insertion order is a pure function of the query, which is what
 /// keeps Query(u) bit-identical regardless of what the engine ran before.
 struct PRSim::QueryWorkspace {
@@ -33,20 +33,16 @@ struct PRSim::QueryWorkspace {
     /// eta(w) * pi_l(u, w) sample counts keyed by PackNodeLevel(w, l).
     /// Counts (not 1/nr masses): integer merges are exact in any order.
     FlatHashMap2<uint64_t> eta_pi{256};
-    std::vector<uint64_t> eta_keys;
     /// This chunk's partial tail-sum per touched node. A chunk never spans
     /// a round, so these are partials of exactly one round's column.
     FlatHashMap2<double> tail{256};
-    std::vector<NodeId> tail_keys;
     BackwardWalker backward;
     Rng rng{0};
     QueryCost cost;
 
     void Reset() {
       eta_pi.clear();
-      eta_keys.clear();
       tail.clear();
-      tail_keys.clear();
       cost = QueryCost{};
     }
   };
@@ -69,7 +65,8 @@ struct PRSim::QueryWorkspace {
   QueryWorkspace(const Graph& graph, double c, uint32_t rounds,
                  uint64_t samples_per_round)
       : tasks(BuildSampleChunks(rounds, samples_per_round)),
-        lanes(tasks.size()) {
+        lanes(tasks.size()),
+        score_slot(graph.n(), 0) {
     chunks.reserve(tasks.size());
     for (size_t i = 0; i < tasks.size(); ++i) chunks.emplace_back(graph, c);
   }
@@ -82,10 +79,16 @@ struct PRSim::QueryWorkspace {
 
   // Merge-pass accumulators (main thread only).
   FlatHashMap2<uint64_t> eta_pi{1024};  ///< merged sample counts
-  std::vector<uint64_t> eta_keys;
   RoundColumns tail;  ///< per-(node, round) tail sums + median reduce
-  FlatHashMap2<double> scores{1024};
+
+  // Score accumulator: score_slot[v] is 1 + v's position in score_nodes /
+  // score_values, 0 while v is untouched. Emission visits the touched
+  // nodes in first-touch order and zeroes their slots again, so a query
+  // costs O(touched) and the node-indexed array stays all zero between
+  // queries.
+  std::vector<uint32_t> score_slot;
   std::vector<NodeId> score_nodes;
+  std::vector<double> score_values;
 };
 
 PRSim::PRSim(const Graph& graph, const PRSimOptions& options)
@@ -227,8 +230,7 @@ ScoreList PRSim::QueryAtLaneWidth(NodeId u, size_t lane_width) {
           }
           lane.phase = Phase::kNextSample;
           if (met) continue;
-          ++OrderedSlot(chunk.eta_pi, chunk.eta_keys,
-                        PackNodeLevel(lane.terminal, lane.level));
+          ++chunk.eta_pi[PackNodeLevel(lane.terminal, lane.level)];
           if (index_->IsHub(lane.terminal)) continue;
           ++chunk.cost.backward_walks;
           chunk.backward.Start(lane.terminal, lane.level,
@@ -242,8 +244,7 @@ ScoreList PRSim::QueryAtLaneWidth(NodeId u, size_t lane_width) {
           }
           chunk.cost.backward_increments +=
               chunk.backward.Finish([&](NodeId v, double value) {
-                OrderedSlot(chunk.tail, chunk.tail_keys, v) +=
-                    value * tail_scale;
+                chunk.tail[v] += value * tail_scale;
               });
           lane.phase = Phase::kNextSample;
           continue;
@@ -282,31 +283,35 @@ ScoreList PRSim::QueryAtLaneWidth(NodeId u, size_t lane_width) {
       workers);
 
   // Phase 2: merge chunk partials in grid order, iterating each chunk's
-  // insertion-order key lists. Tail partials of one (node, round) column
+  // maps in insertion order. Tail partials of one (node, round) column
   // arrive in ascending block order — the fixed-order float sums that make
   // the result independent of the worker count — and the integer eta-pi
   // counts and cost counters merge exactly regardless.
   ws.eta_pi.clear();
-  ws.eta_keys.clear();
   ws.tail.Reset(fr_);
   for (size_t i = 0; i < ws.tasks.size(); ++i) {
     const uint32_t round = ws.tasks[i].round;
-    QueryWorkspace::Chunk& chunk = ws.chunks[i];
+    const QueryWorkspace::Chunk& chunk = ws.chunks[i];
     cost_.Accumulate(chunk.cost);
-    for (const uint64_t key : chunk.eta_keys) {
-      OrderedSlot(ws.eta_pi, ws.eta_keys, key) += *chunk.eta_pi.Find(key);
-    }
-    for (const NodeId v : chunk.tail_keys) {
-      ws.tail.Add(v, round, *chunk.tail.Find(v));
-    }
+    chunk.eta_pi.ForEach(
+        [&](uint64_t key, uint64_t count) { ws.eta_pi[key] += count; });
+    chunk.tail.ForEach([&](uint64_t v, double partial) {
+      ws.tail.Add(v, round, partial);
+    });
   }
 
   // First-touch bookkeeping for the score accumulator (emission follows
   // score_nodes, so result order is history-independent too).
-  ws.scores.clear();
   ws.score_nodes.clear();
+  ws.score_values.clear();
   const auto score_slot = [&ws](NodeId v) -> double& {
-    return OrderedSlot(ws.scores, ws.score_nodes, v);
+    uint32_t& slot = ws.score_slot[v];
+    if (slot == 0) {
+      ws.score_nodes.push_back(v);
+      ws.score_values.push_back(0.0);
+      slot = static_cast<uint32_t>(ws.score_nodes.size());
+    }
+    return ws.score_values[slot - 1];
   };
 
   // Median over rounds for the tail part (Lines 14-15).
@@ -316,29 +321,30 @@ ScoreList PRSim::QueryAtLaneWidth(NodeId u, size_t lane_width) {
 
   // Index part (Lines 16-18): resolve heavy (w, l) pairs against the hub
   // reserve lists. Reserve lists of distinct (w, l) can hit the same node,
-  // so this float-sum order must follow eta_keys, not the map layout.
+  // so this float-sum order must follow eta_pi's insertion order, not its
+  // slot layout.
   const double keep_threshold = options_.eps / c1_;
-  for (const uint64_t key : ws.eta_keys) {
-    const double mass = static_cast<double>(*ws.eta_pi.Find(key)) * inv_nr;
-    if (mass <= keep_threshold) continue;
-    const NodeId w = UnpackNode(key);
-    const uint32_t level = UnpackLevel(key);
-    const auto* reserves = index_->Find(w, level);
-    if (reserves == nullptr) continue;
+  ws.eta_pi.ForEach([&](uint64_t key, uint64_t count) {
+    const double mass = static_cast<double>(count) * inv_nr;
+    if (mass <= keep_threshold) return;
+    const auto* reserves = index_->Find(UnpackNode(key), UnpackLevel(key));
+    if (reserves == nullptr) return;
     cost_.index_tuples_read += reserves->size();
     const double scale = mass * inv_term_sq_;
     for (const auto& [v, psi] : *reserves) {
       score_slot(v) += scale * static_cast<double>(psi);
     }
-  }
+  });
 
   ScoreList result;
   result.reserve(ws.score_nodes.size() + 1);
-  for (const NodeId v : ws.score_nodes) {
+  for (size_t i = 0; i < ws.score_nodes.size(); ++i) {
+    const NodeId v = ws.score_nodes[i];
+    ws.score_slot[v] = 0;
     // Any mass accumulated on the source itself is discarded: s(u, u) is
     // exactly 1 and is appended below.
     if (v == u) continue;
-    const double score = *ws.scores.Find(v);
+    const double score = ws.score_values[i];
     if (score > 0) result.emplace_back(v, score);
   }
   result.emplace_back(u, 1.0);
@@ -354,14 +360,12 @@ PRSim::WorkspaceSnapshot PRSim::SnapshotWorkspace() const {
   for (const QueryWorkspace::Chunk& chunk : ws.chunks) {
     snapshot.map_capacity += chunk.eta_pi.capacity() + chunk.tail.capacity() +
                              chunk.backward.ScratchCapacity();
-    snapshot.buffer_capacity +=
-        chunk.eta_keys.capacity() + chunk.tail_keys.capacity();
   }
-  snapshot.map_capacity +=
-      ws.eta_pi.capacity() + ws.tail.MapCapacity() + ws.scores.capacity();
-  snapshot.buffer_capacity += ws.tail.BufferCapacity() +
-                              ws.eta_keys.capacity() +
-                              ws.score_nodes.capacity() + ws.lanes.capacity();
+  snapshot.map_capacity += ws.eta_pi.capacity() + ws.tail.MapCapacity();
+  snapshot.buffer_capacity +=
+      ws.tail.BufferCapacity() + ws.score_slot.capacity() +
+      ws.score_nodes.capacity() + ws.score_values.capacity() +
+      ws.lanes.capacity();
   return snapshot;
 }
 
@@ -370,12 +374,12 @@ std::vector<PRSim::ChunkPartial> PRSim::SnapshotChunkPartials() const {
   if (workspace_ == nullptr) return partials;
   for (const QueryWorkspace::Chunk& chunk : workspace_->chunks) {
     ChunkPartial& partial = partials.emplace_back();
-    for (const uint64_t key : chunk.eta_keys) {
-      partial.eta_pi.emplace_back(key, *chunk.eta_pi.Find(key));
-    }
-    for (const NodeId v : chunk.tail_keys) {
-      partial.tail.emplace_back(v, *chunk.tail.Find(v));
-    }
+    chunk.eta_pi.ForEach([&](uint64_t key, uint64_t count) {
+      partial.eta_pi.emplace_back(key, count);
+    });
+    chunk.tail.ForEach([&](uint64_t v, double value) {
+      partial.tail.emplace_back(static_cast<NodeId>(v), value);
+    });
     partial.cost = chunk.cost;
   }
   return partials;

@@ -35,7 +35,12 @@
 // pure function of (seed, source) — bit-identical for any thread count and
 // lane width — and steady-state queries perform no per-walk allocation (the
 // workspace, including the lanes and each chunk's BackwardWalker scratch,
-// is reused across queries with retained capacity). Note the chunked RNG
+// is reused across queries with retained capacity). The merge reads every
+// chunk map in insertion order (FlatHashMap2::ForEach), and the scores
+// accumulate through a node-indexed slot array (one uint32_t per node,
+// allocated with the workspace) into first-touch vectors: emission walks
+// those vectors and zeroes the slots it touched, so the per-query result
+// path costs O(touched nodes) with no hash map. Note the chunked RNG
 // discipline means scores differ from the pre-chunking serial
 // implementation for the same seed; the statistical guarantees are
 // unchanged.

@@ -17,10 +17,12 @@
 //
 // What is cached: the FULL single-source score vector (k = 0 shape).
 // Top-k replies are derived on hit with core/single_source.h's TopK —
-// the exact nth_element + (score desc, id asc) tie-break every engine's
-// default QueryTopK uses — so one cached entry serves any requested k
-// bit-identically. (No engine overrides QueryTopK; result_cache_test
-// locks the equivalence down per engine.)
+// the same selection, with its strict (score desc, id asc) order, that
+// every engine's default QueryTopK uses — so one cached entry serves any
+// requested k bit-identically. A hit reads the cached vector in place
+// through a bounded heap of k; it never copies or sorts the full vector.
+// (No engine overrides QueryTopK; result_cache_test locks the equivalence
+// down per engine.)
 //
 // Singleflight: under a Zipfian workload the worst case is N concurrent
 // misses on the same hot source. Lookup() atomically resolves each caller

@@ -140,23 +140,41 @@ class SingleSourceSimRank {
 
 /// Returns the k entries with the largest scores (ties by ascending node id),
 /// sorted descending by score. The source node (score 1) is excluded, since
-/// top-k evaluation asks for the most similar *other* nodes.
+/// top-k evaluation asks for the most similar *other* nodes. One pass keeps
+/// the best k seen so far in a heap whose top is the worst of them, so the
+/// cost is O(size log k) with no copy of the list; the order (score desc,
+/// id asc) is strict, so the result does not depend on how it is selected.
 inline ScoreList TopK(const ScoreList& scores, size_t k, NodeId source) {
-  ScoreList pool;
-  pool.reserve(scores.size());
-  for (const auto& e : scores) {
-    if (e.first != source) pool.push_back(e);
-  }
-  auto cmp = [](const ScoreEntry& a, const ScoreEntry& b) {
+  const auto ranks_before = [](const ScoreEntry& a, const ScoreEntry& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   };
-  if (pool.size() > k) {
-    std::nth_element(pool.begin(), pool.begin() + k, pool.end(), cmp);
-    pool.resize(k);
+  ScoreList best;
+  if (k == 0) return best;
+  best.reserve(std::min(k, scores.size()));
+  auto it = scores.begin();
+  for (; it != scores.end() && best.size() < k; ++it) {
+    if (it->first == source) continue;
+    best.push_back(*it);
+    std::push_heap(best.begin(), best.end(), ranks_before);
   }
-  std::sort(pool.begin(), pool.end(), cmp);
-  return pool;
+  if (it != scores.end()) {
+    // The heap is full. Most entries of a long list score below the worst
+    // kept one, and the first compare turns them away.
+    ScoreEntry worst = best.front();
+    for (; it != scores.end(); ++it) {
+      if (it->second < worst.second || it->first == source ||
+          !ranks_before(*it, worst)) {
+        continue;
+      }
+      std::pop_heap(best.begin(), best.end(), ranks_before);
+      best.back() = *it;
+      std::push_heap(best.begin(), best.end(), ranks_before);
+      worst = best.front();
+    }
+  }
+  std::sort_heap(best.begin(), best.end(), ranks_before);
+  return best;
 }
 
 /// Looks up a node's score in a ScoreList (0 if absent).

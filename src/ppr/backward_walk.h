@@ -27,6 +27,11 @@
 // path performs no allocation: query engines accumulate straight into
 // their pooled workspace maps. The vector-returning overloads remain for
 // tests and the ablation bench, which want materialized results.
+//
+// A frontier is a vector of (node, estimate) entries in insertion order.
+// Most walks touch only a few nodes, so duplicates are found by a linear
+// scan while the next frontier holds at most kFrontierScanLimit entries,
+// and through a position index once it outgrows that.
 
 #ifndef PRSIM_PPR_BACKWARD_WALK_H_
 #define PRSIM_PPR_BACKWARD_WALK_H_
@@ -84,8 +89,7 @@ class BackwardWalker {
   /// (`variance_bounded`) or 2 from w to `target_level`. Draws nothing.
   void Start(NodeId w, uint32_t target_level, bool variance_bounded) {
     ResetScratch();
-    cur_[w] = term_;  // pi_hat_0(w, w) = 1 - sqrt_c
-    cur_keys_.push_back(w);
+    cur_.push_back({w, term_});  // pi_hat_0(w, w) = 1 - sqrt_c
     target_level_ = target_level;
     variance_bounded_ = variance_bounded;
     level_ = 0;
@@ -104,8 +108,8 @@ class BackwardWalker {
   /// empty, and returns the walk's increment count.
   template <typename Sink>
   uint64_t Finish(Sink&& sink) {
-    for (const NodeId v : cur_keys_) {
-      sink(v, *cur_.Find(v));
+    for (const FrontierEntry& entry : cur_) {
+      sink(entry.node, entry.estimate);
     }
     // Leave the scratch empty and equalized so the state BETWEEN walks is
     // the deterministic one (the reset in Start() is just a guard): a
@@ -123,19 +127,21 @@ class BackwardWalker {
 
   double sqrt_c() const { return sqrt_c_; }
 
-  /// Combined capacity of the recycled frontier scratch (maps + insertion-
-  /// order key vectors) — the workspace-reuse probe: steady-state walks must
-  /// not grow it.
+  /// Combined capacity of the recycled frontier scratch (both frontier
+  /// vectors + the position index) — the workspace-reuse probe:
+  /// steady-state walks must not grow it.
   size_t ScratchCapacity() const {
-    return cur_.capacity() + next_.capacity() + cur_keys_.capacity() +
-           next_keys_.capacity();
+    return cur_.capacity() + next_.capacity() + next_position_.capacity();
   }
+
+  /// Largest frontier searched by linear scan; a bigger one is indexed.
+  static constexpr size_t kFrontierScanLimit = 16;
 
  private:
   /// Where the walk stands (see Resume).
   enum class Stage : uint8_t {
     kLevel,    ///< about to expand frontier level `level_`
-    kNode,     ///< about to visit frontier node cur_keys_[node_]
+    kNode,     ///< about to visit frontier node cur_[node_]
     kOffsets,  ///< its out-row offsets are prefetched
     kRow,      ///< its out-row is prefetched: push mass along it
   };
@@ -144,47 +150,66 @@ class BackwardWalker {
   /// `degs_` into the next frontier (the body of Algorithms 2 and 3).
   void Expand(Rng& rng);
 
-  /// Accumulates `delta` for `y` in the next frontier in insertion order.
+  /// Accumulates `delta` for `y` in the next frontier; a first-seen `y` is
+  /// appended, so the frontier stays in insertion order.
   void AccumulateNext(NodeId y, double delta) {
-    OrderedSlot(next_, next_keys_, y) += delta;
+    if (next_.size() <= kFrontierScanLimit) {
+      for (FrontierEntry& entry : next_) {
+        if (entry.node == y) {
+          entry.estimate += delta;
+          return;
+        }
+      }
+      next_.push_back({y, delta});
+      if (next_.size() > kFrontierScanLimit) {  // switch to the index
+        for (size_t i = 0; i < next_.size(); ++i) {
+          next_position_[next_[i].node] = static_cast<uint32_t>(i + 1);
+        }
+      }
+      return;
+    }
+    uint32_t& position = next_position_[y];  // 1-based; 0 = not yet seen
+    if (position == 0) {
+      next_.push_back({y, delta});
+      position = static_cast<uint32_t>(next_.size());
+    } else {
+      next_[position - 1].estimate += delta;
+    }
   }
 
-  /// Empties the scratch and equalizes the capacities of the two sides.
-  /// cur_/next_ are swapped a per-walk-varying number of times, so without
-  /// equalization a walk's growth decisions would depend on which side the
-  /// larger retained buffer happens to sit in — i.e. on engine history.
-  /// Symmetric capacities make reuse allocation-free: a repeated walk
-  /// sequence never regrows scratch that already fit it.
+  /// Empties the scratch and equalizes the capacities of the two frontier
+  /// vectors. They are swapped a per-walk-varying number of times, so
+  /// without equalization a walk's growth decisions would depend on which
+  /// side the larger retained buffer happens to sit in — i.e. on engine
+  /// history. Symmetric capacities make reuse allocation-free: a repeated
+  /// walk sequence never regrows scratch that already fit it.
   void ResetScratch() {
     cur_.clear();
     next_.clear();
-    cur_keys_.clear();
-    next_keys_.clear();
+    next_position_.clear();
     if (cur_.capacity() < next_.capacity()) {
-      cur_.Reserve(next_.capacity());
+      cur_.reserve(next_.capacity());
     } else if (next_.capacity() < cur_.capacity()) {
-      next_.Reserve(cur_.capacity());
-    }
-    if (cur_keys_.capacity() < next_keys_.capacity()) {
-      cur_keys_.reserve(next_keys_.capacity());
-    } else if (next_keys_.capacity() < cur_keys_.capacity()) {
-      next_keys_.reserve(cur_keys_.capacity());
+      next_.reserve(cur_.capacity());
     }
   }
 
   const Graph& graph_;
   double sqrt_c_;
   double term_;  // 1 - sqrt_c
-  // Frontier maps plus their keys in insertion order. The walk consumes RNG
-  // draws while iterating the frontier, so iteration MUST NOT follow the
-  // maps' slot order: slot layout depends on the scratch capacity retained
-  // from earlier walks, and draw-to-node association would then depend on
-  // engine history. Insertion order is a pure function of the walk itself,
-  // which is what keeps queries pure functions of (seed, source).
-  FlatHashMap2<double> cur_{64};
-  FlatHashMap2<double> next_{64};
-  std::vector<NodeId> cur_keys_;
-  std::vector<NodeId> next_keys_;
+  struct FrontierEntry {
+    NodeId node;
+    double estimate;
+  };
+  // The current and next frontier in insertion order. The walk consumes RNG
+  // draws while iterating the frontier, so the order must be a pure
+  // function of the walk itself — never of capacity retained from earlier
+  // walks — which is what keeps queries pure functions of (seed, source).
+  std::vector<FrontierEntry> cur_;
+  std::vector<FrontierEntry> next_;
+  /// Position (1-based) of each node in next_, kept only while next_ holds
+  /// more than kFrontierScanLimit entries. It is looked up, never iterated.
+  FlatHashMap2<uint32_t> next_position_{64};
 
   // The walk in flight.
   Stage stage_ = Stage::kLevel;
@@ -203,24 +228,23 @@ inline WalkStep BackwardWalker::Resume(Rng& rng) {
   for (;;) {
     switch (stage_) {
       case Stage::kLevel:
-        if (level_ == target_level_ || cur_keys_.empty()) {
+        if (level_ == target_level_ || cur_.empty()) {
           return WalkStep::kDone;
         }
         node_ = 0;
         stage_ = Stage::kNode;
         [[fallthrough]];
       case Stage::kNode: {
-        if (node_ == cur_keys_.size()) {
+        if (node_ == cur_.size()) {
           cur_.clear();
-          cur_keys_.clear();
           std::swap(cur_, next_);
-          std::swap(cur_keys_, next_keys_);
+          next_position_.clear();
           ++level_;
           stage_ = Stage::kLevel;
           continue;
         }
-        const NodeId x = cur_keys_[node_];
-        estimate_ = *cur_.Find(x);
+        const NodeId x = cur_[node_].node;
+        estimate_ = cur_[node_].estimate;
         // Algorithm 3 continues from x with probability sqrt_c, decided
         // before its out-row is touched.
         if (variance_bounded_ && rng.NextDouble() >= sqrt_c_) {
@@ -235,7 +259,7 @@ inline WalkStep BackwardWalker::Resume(Rng& rng) {
         [[fallthrough]];
       }
       case Stage::kOffsets: {
-        const NodeId x = cur_keys_[node_];
+        const NodeId x = cur_[node_].node;
         outs_ = graph_.OutNeighbors(x);
         degs_ = graph_.OutNeighborInDegrees(x);
         stage_ = Stage::kRow;

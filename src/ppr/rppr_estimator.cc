@@ -16,12 +16,11 @@ namespace prsim {
 struct RpprEstimator::Workspace {
   struct Chunk {
     Chunk(const Graph& graph, double c) : backward(graph, c) {}
-    /// Partial per-node sums of this chunk's round (values / dr), with the
-    /// keys in insertion order — the merge iterates acc_keys, never the
-    /// map, so the output never depends on capacity retained from earlier
-    /// estimates (see PRSim::QueryWorkspace).
+    /// Partial per-node sums of this chunk's round (values / dr). The merge
+    /// iterates them in insertion order (FlatHashMap2::ForEach), so the
+    /// output never depends on capacity retained from earlier estimates
+    /// (see PRSim::QueryWorkspace).
     FlatHashMap2<double> acc{256};
-    std::vector<NodeId> acc_keys;
     BackwardWalker backward;
     Rng rng{0};
     uint64_t increments = 0;
@@ -77,12 +76,11 @@ RpprEstimate RpprEstimator::MedianOfMeans(uint64_t stream, Sample&& sample) {
     const SampleChunk& task = ws.tasks[i];
     Workspace::Chunk& chunk = ws.chunks[i];
     chunk.acc.clear();
-    chunk.acc_keys.clear();
     chunk.increments = 0;
     chunk.rng.Reseed(SampleChunkSeed(options_.seed, stream, task, dr_));
     for (uint64_t j = task.j_lo; j < task.j_hi; ++j) {
       sample(chunk, [&](NodeId v, double value) {
-        OrderedSlot(chunk.acc, chunk.acc_keys, v) += value * inv_dr;
+        chunk.acc[v] += value * inv_dr;
       });
     }
   };
@@ -94,11 +92,10 @@ RpprEstimate RpprEstimator::MedianOfMeans(uint64_t stream, Sample&& sample) {
   ws.columns.Reset(fr_);
   for (size_t i = 0; i < ws.tasks.size(); ++i) {
     const uint32_t round = ws.tasks[i].round;
-    Workspace::Chunk& chunk = ws.chunks[i];
+    const Workspace::Chunk& chunk = ws.chunks[i];
     out.total_walk_increments += chunk.increments;
-    for (const NodeId v : chunk.acc_keys) {
-      ws.columns.Add(v, round, *chunk.acc.Find(v));
-    }
+    chunk.acc.ForEach(
+        [&](uint64_t v, double partial) { ws.columns.Add(v, round, partial); });
   }
 
   out.values.reserve(ws.columns.key_count());

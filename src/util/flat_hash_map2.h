@@ -19,9 +19,9 @@
 //    O(size). Iteration order is therefore a pure function of the operation
 //    sequence — never of the capacity retained from earlier reuse — so a
 //    pass that float-sums, breaks ties, or emits output while iterating the
-//    map gives the same bits on a warmed workspace as on a fresh one.
-//    (Callers on the PRSim hot paths also keep their own key vectors via
-//    OrderedSlot; the contract is identical.)
+//    map gives the same bits on a warmed workspace as on a fresh one. The
+//    PRSim and RpprEstimator accumulators rely on exactly this: they merge,
+//    sum and emit by ForEach and keep no key vectors of their own.
 //
 // Restrictions: any uint64_t key is insertable (presence lives in the
 // control byte, not the key), erase is not supported (none of our
@@ -33,8 +33,7 @@
 // small tables (<= 1024 slots, minimum 64 — one cache line of control
 // bytes) grow 4x at 1/2 load — a few KB of L1-resident scratch traded for
 // ~4x fewer rehash moves and near-zero probe collisions — while large
-// tables grow 2x at 3/4 load. Reserve() lets paired scratch maps equalize
-// their capacities so workspace-reuse growth decisions stay deterministic.
+// tables grow 2x at 3/4 load.
 
 #ifndef PRSIM_UTIL_FLAT_HASH_MAP2_H_
 #define PRSIM_UTIL_FLAT_HASH_MAP2_H_
@@ -190,19 +189,6 @@ class FlatHashMap2 {
   }
 
   size_t capacity() const { return capacity_; }
-
-  /// Ensures capacity() >= slot_count (rounded up to a power of two),
-  /// rehashing current entries, so paired scratch maps can equalize
-  /// retained capacities (see BackwardWalker::ResetScratch).
-  void Reserve(size_t slot_count) {
-    PRSIM_CHECK(slot_count <= kMaxMapCapacity)
-        << "FlatHashMap2::Reserve: requested capacity " << slot_count
-        << " exceeds the " << kMaxMapCapacity << "-slot limit";
-    if (slot_count <= capacity_) return;
-    size_t cap = capacity_;
-    while (cap < slot_count) cap <<= 1;
-    Rehash(cap);
-  }
 
   /// Heap footprint in bytes: both arenas (slots + journal + control).
   size_t MemoryBytes() const {
@@ -540,20 +526,6 @@ class FlatHashMap2 {
   size_t growth_threshold_ = 0;    ///< rehash when size_ would exceed this
   size_t size_ = 0;
 };
-
-/// Returns the value slot for `key`, appending first-seen keys to `keys`.
-/// The insertion-order companion of operator[], for accumulators that keep
-/// a caller-held key vector alongside the map (to merge, sort or re-walk
-/// the keys without touching the map).
-template <typename V, typename KeyVector>
-V& OrderedSlot(FlatHashMap2<V>& map, KeyVector& keys, uint64_t key) {
-  const size_t before = map.size();
-  V& slot = map[key];
-  if (map.size() != before) {
-    keys.push_back(static_cast<typename KeyVector::value_type>(key));
-  }
-  return slot;
-}
 
 /// Maximum packable level (exclusive): levels occupy bits 32..55 only, so a
 /// packed key always has its top byte clear.

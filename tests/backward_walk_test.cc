@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "gen/chung_lu.h"
 #include "ppr/backward_walk.h"
@@ -224,6 +228,98 @@ TEST(BackwardWalkTest, EstimatesAreNonNegative) {
       EXPECT_GE(value, 0.0);
     }
   }
+}
+
+/// Algorithm 3 written out plainly: std::unordered_map frontiers, each with
+/// a vector of its keys in insertion order, drawing from `rng` in the order
+/// the paper's pseudocode visits nodes. `max_frontier` reports the largest
+/// frontier the walk built.
+struct ReferenceWalk {
+  std::vector<std::pair<NodeId, double>> estimates;
+  uint64_t increments = 0;
+  size_t max_frontier = 0;
+};
+
+ReferenceWalk ReferenceVarianceBounded(const Graph& g, double c, NodeId w,
+                                       uint32_t target_level, Rng& rng) {
+  const double sqrt_c = std::sqrt(c);
+  const double term = 1.0 - sqrt_c;
+  std::unordered_map<NodeId, double> cur{{w, term}};
+  std::unordered_map<NodeId, double> next;
+  std::vector<NodeId> cur_keys{w};
+  std::vector<NodeId> next_keys;
+  const auto add = [&](NodeId y, double delta) {
+    const auto [it, inserted] = next.try_emplace(y, 0.0);
+    if (inserted) next_keys.push_back(y);
+    it->second += delta;
+  };
+  ReferenceWalk walk;
+  walk.increments = 1;
+  walk.max_frontier = 1;
+  for (uint32_t level = 0; level < target_level && !cur_keys.empty();
+       ++level) {
+    for (const NodeId x : cur_keys) {
+      const double estimate = cur.at(x);
+      if (rng.NextDouble() >= sqrt_c) continue;
+      const auto outs = g.OutNeighbors(x);
+      const auto degs = g.OutNeighborInDegrees(x);
+      const double exact_threshold = estimate / term;
+      size_t i = 0;
+      for (; i < outs.size() && degs[i] <= exact_threshold; ++i) {
+        add(outs[i], estimate / degs[i]);
+      }
+      if (i < outs.size()) {
+        const double sampled_threshold = exact_threshold / rng.NextDouble();
+        for (; i < outs.size() && degs[i] <= sampled_threshold; ++i) {
+          add(outs[i], term);
+        }
+      }
+      walk.increments += i;
+    }
+    cur = std::move(next);
+    cur_keys = std::move(next_keys);
+    next.clear();
+    next_keys.clear();
+    walk.max_frontier = std::max(walk.max_frontier, cur_keys.size());
+  }
+  for (const NodeId v : cur_keys) walk.estimates.emplace_back(v, cur.at(v));
+  return walk;
+}
+
+TEST(BackwardWalkTest, FrontierSwitchMatchesMapReferenceDrawForDraw) {
+  // A dense digraph, so frontiers outgrow the linear-scan limit and the
+  // walker switches to its position index mid-level. One walker serves
+  // every walk, so its scratch is reused across both regimes.
+  const double c = 0.6;
+  Graph g = MakeRandomDigraph(400, 8000, 44);
+  BackwardWalker walker(g, c);
+  Rng targets(3);
+  size_t crossed = 0;
+  size_t scanned_only = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const NodeId w = targets.NextIndex(g.n());
+    const uint32_t level = 1 + targets.NextIndex(8);
+    Rng rng_walker(1000 + i);
+    Rng rng_reference(1000 + i);
+    const BackwardWalkResult got =
+        walker.RunVarianceBounded(w, level, rng_walker);
+    const ReferenceWalk want =
+        ReferenceVarianceBounded(g, c, w, level, rng_reference);
+    ASSERT_EQ(got.estimates, want.estimates) << "w=" << w << " l=" << level;
+    ASSERT_EQ(got.increments, want.increments) << "w=" << w << " l=" << level;
+    // Draw for draw: both consumed exactly the same number of draws.
+    ASSERT_EQ(rng_walker.Next(), rng_reference.Next())
+        << "w=" << w << " l=" << level;
+    if (want.max_frontier > BackwardWalker::kFrontierScanLimit) {
+      ++crossed;
+    } else {
+      ++scanned_only;
+    }
+  }
+  // Both regimes were exercised (a walk rarely outgrows the scan limit:
+  // about 3% of these do).
+  EXPECT_GT(crossed, 20u);
+  EXPECT_GT(scanned_only, 1000u);
 }
 
 }  // namespace

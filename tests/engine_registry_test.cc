@@ -8,6 +8,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine_config.h"
 #include "core/engine_registry.h"
@@ -342,6 +344,54 @@ TEST(TopKTest, KEqualToPoolKeepsOrderStable) {
 TEST(TopKTest, KZeroIsEmpty) {
   const ScoreList scores = {{1, 0.5}, {2, 0.4}};
   EXPECT_TRUE(TopK(scores, 0, 1).empty());
+}
+
+/// The earlier TopK, kept as the oracle: copy every entry but the source,
+/// nth_element the k best to the front, then sort them.
+ScoreList CopySelectSortTopK(const ScoreList& scores, size_t k,
+                             NodeId source) {
+  ScoreList pool;
+  for (const auto& e : scores) {
+    if (e.first != source) pool.push_back(e);
+  }
+  const auto cmp = [](const ScoreEntry& a, const ScoreEntry& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  };
+  if (pool.size() > k) {
+    std::nth_element(pool.begin(), pool.begin() + k, pool.end(), cmp);
+    pool.resize(k);
+  }
+  std::sort(pool.begin(), pool.end(), cmp);
+  return pool;
+}
+
+TEST(TopKTest, MatchesCopySelectSortOracleOnTieHeavyLists) {
+  Rng rng(8);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Distinct node ids in random order; scores drawn from a handful of
+    // values so most entries tie with others and the id tie-break decides.
+    const size_t size = 1 + rng.NextBounded(300);
+    std::vector<NodeId> ids(size + 50);
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<NodeId>(i);
+    for (size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[rng.NextBounded(i + 1)]);
+    }
+    const uint64_t distinct_scores = 1 + rng.NextBounded(6);
+    ScoreList scores;
+    for (size_t i = 0; i < size; ++i) {
+      scores.emplace_back(ids[i],
+                          0.125 * static_cast<double>(
+                                      1 + rng.NextBounded(distinct_scores)));
+    }
+    // The source is in the list on even trials and absent on odd ones.
+    const NodeId source = trial % 2 == 0 ? scores[rng.NextBounded(size)].first
+                                         : ids[size + rng.NextBounded(50)];
+    for (const size_t k : {size_t{0}, size_t{1}, size - 1, size, size + 5}) {
+      EXPECT_EQ(TopK(scores, k, source), CopySelectSortTopK(scores, k, source))
+          << "trial " << trial << ", size " << size << ", k " << k;
+    }
+  }
 }
 
 }  // namespace

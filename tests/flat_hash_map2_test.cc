@@ -1,9 +1,10 @@
 // FlatHashMap2 (SwissTable-style metadata probing, journal-driven clear,
 // insertion-order iteration), its guards against lookups that grow the map
 // and doubling-loop overflow, and the PackNodeLevel level cap. Also pins
-// the OrderedSlot invariant: the caller-held keys vector and ForEach order
-// are a pure function of the insertion sequence, never of the capacity a
-// reused map retained from earlier queries.
+// the invariant the query accumulators rely on: ForEach order is the
+// first-touch order of the keys, a pure function of the insertion
+// sequence, never of the capacity a reused map retained from earlier
+// queries.
 
 #include "util/flat_hash_map2.h"
 
@@ -64,24 +65,6 @@ TEST(FlatHashMap2Test, GrowPreservesEntries) {
   EXPECT_EQ(map.Find(2), nullptr);
 }
 
-TEST(FlatHashMap2Test, ReserveGrowsAndPreservesEntries) {
-  FlatHashMap2<uint64_t> map(4);
-  for (uint64_t i = 0; i < 20; ++i) map[i * 7 + 2] = i;
-  const size_t before = map.capacity();
-  map.Reserve(before);  // no-op: already there
-  EXPECT_EQ(map.capacity(), before);
-  map.Reserve(before * 4);
-  EXPECT_GE(map.capacity(), before * 4);
-  EXPECT_EQ(map.size(), 20u);
-  for (uint64_t i = 0; i < 20; ++i) {
-    const uint64_t* v = map.Find(i * 7 + 2);
-    ASSERT_NE(v, nullptr) << i;
-    EXPECT_EQ(*v, i);
-  }
-  map.clear();
-  EXPECT_GE(map.capacity(), before * 4);  // the workspace-reuse contract
-}
-
 TEST(FlatHashMap2Test, ClearEmptiesAndDoesNotResurrectStaleValues) {
   FlatHashMap2<int> map;
   for (uint64_t i = 0; i < 100; ++i) map[i] = 1 + static_cast<int>(i);
@@ -98,8 +81,7 @@ TEST(FlatHashMap2Test, SparseAndDenseClearPathsAgree) {
   // Journal walk (sparse) and control memset (dense) must be
   // indistinguishable. Cycle both regimes through one retained-capacity
   // map against a reference.
-  FlatHashMap2<uint64_t> map;
-  map.Reserve(4096);
+  FlatHashMap2<uint64_t> map(2048);  // 4096 slots
   Rng rng(7);
   for (int cycle = 0; cycle < 20; ++cycle) {
     // Odd cycles stay tiny (journal path); even cycles go dense (memset).
@@ -134,12 +116,6 @@ TEST(FlatHashMap2Test, ForEachIsInsertionOrderAndSurvivesRehash) {
     inserted.push_back(key);
   }
   std::vector<uint64_t> seen;
-  map.ForEach([&](uint64_t k, const uint64_t&) { seen.push_back(k); });
-  EXPECT_EQ(seen, inserted);
-
-  // Reserve-triggered rehash preserves the order too.
-  map.Reserve(map.capacity() * 4);
-  seen.clear();
   map.ForEach([&](uint64_t k, const uint64_t&) { seen.push_back(k); });
   EXPECT_EQ(seen, inserted);
 
@@ -205,10 +181,8 @@ TEST(FlatHashMapOverflowGuardTest, HugeRequestsAreRejected) {
   // The power-of-two doubling loops used to spin or wrap on huge requests;
   // now they fail loudly before allocating anything.
   EXPECT_DEATH(FlatHashMap2<int> m(~size_t{0} / 2), "exceeds");
-  FlatHashMap2<int> map;
-  EXPECT_DEATH(map.Reserve(~size_t{0} - 1), "exceeds");
   // In-range requests still work.
-  map.Reserve(1 << 12);
+  const FlatHashMap2<int> map(1 << 11);
   EXPECT_GE(map.capacity(), size_t{1} << 12);
 }
 
@@ -244,43 +218,37 @@ TEST(PackNodeLevelTest, LevelCapIsEnforcedInDebugBuilds) {
 #endif
 
 // --------------------------------------------------------------------------
-// OrderedSlot under capacity-retained reuse — the invariant that makes a
+// ForEach order under capacity-retained reuse — the invariant that makes a
 // warmed workspace answer like a fresh one.
 // --------------------------------------------------------------------------
 
-/// Runs one accumulation sequence through OrderedSlot and returns
-/// (insertion-order keys, ForEach-order keys).
-std::pair<std::vector<uint64_t>, std::vector<uint64_t>> RunSequence(
-    FlatHashMap2<double>& map, const std::vector<uint64_t>& sequence) {
-  std::vector<uint64_t> keys;
-  for (const uint64_t k : sequence) OrderedSlot(map, keys, k) += 1.0;
-  std::vector<uint64_t> foreach_order;
-  map.ForEach([&](uint64_t k, const double&) { foreach_order.push_back(k); });
-  return {keys, foreach_order};
+/// Runs one accumulation sequence through operator[] and returns the keys
+/// in ForEach order.
+std::vector<uint64_t> ForEachOrder(FlatHashMap2<double>& map,
+                                   const std::vector<uint64_t>& sequence) {
+  for (const uint64_t k : sequence) map[k] += 1.0;
+  std::vector<uint64_t> order;
+  map.ForEach([&](uint64_t k, const double&) { order.push_back(k); });
+  return order;
 }
 
-std::vector<uint64_t> TestSequence() {
+TEST(FlatHashMap2Test, ForEachIsFirstTouchOrderAtAnyRetainedCapacity) {
   Rng rng(21);
   std::vector<uint64_t> sequence;
   for (int i = 0; i < 400; ++i) sequence.push_back(rng.NextBounded(200));
-  return sequence;
-}
-
-TEST(OrderedSlotTest, ForEachMatchesKeysVectorAtAnyRetainedCapacity) {
-  const auto sequence = TestSequence();
+  std::vector<uint64_t> first_touch;
+  std::set<uint64_t> seen;
+  for (const uint64_t k : sequence) {
+    if (seen.insert(k).second) first_touch.push_back(k);
+  }
 
   FlatHashMap2<double> fresh(16);
-  const auto [fresh_keys, fresh_order] = RunSequence(fresh, sequence);
+  EXPECT_EQ(ForEachOrder(fresh, sequence), first_touch);
 
   FlatHashMap2<double> retained(16);
-  retained.Reserve(8192);
+  for (uint64_t k = 0; k < 3000; ++k) retained[k * 7919] = 1.0;
   retained.clear();
-  const auto [retained_keys, retained_order] = RunSequence(retained, sequence);
-
-  // ForEach IS the insertion order, whatever capacity the map retained.
-  EXPECT_EQ(fresh_keys, retained_keys);
-  EXPECT_EQ(fresh_order, fresh_keys);
-  EXPECT_EQ(retained_order, retained_keys);
+  EXPECT_EQ(ForEachOrder(retained, sequence), first_touch);
 }
 
 // --------------------------------------------------------------------------

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/prsim.h"
@@ -231,13 +233,31 @@ TEST(ParallelQueryTest, BackwardWalkIndependentOfScratchHistory) {
   // two walkers genuinely differ in retained capacity.
   ASSERT_GT(used.ScratchCapacity(), fresh.ScratchCapacity());
 
-  for (NodeId w : {NodeId(0), NodeId(7), NodeId(123)}) {
-    Rng rng_fresh(99);
-    Rng rng_used(99);
+  // Besides fixed targets, replay a walk whose frontier outgrows
+  // kFrontierScanLimit, so the position index is exercised too; a third
+  // walker finds one without touching the two under test.
+  std::vector<std::pair<NodeId, uint64_t>> walks = {{0, 99}, {7, 99},
+                                                     {123, 99}};
+  BackwardWalker probe(g, 0.6);
+  for (uint64_t seed = 0; walks.size() == 3 && seed < 64; ++seed) {
+    for (NodeId w = 0; w < g.n(); ++w) {
+      Rng rng(seed);
+      if (probe.RunVarianceBounded(w, 6, rng).estimates.size() >
+          BackwardWalker::kFrontierScanLimit) {
+        walks.emplace_back(w, seed);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(walks.size(), 4u) << "no walk outgrew the linear-scan frontier";
+
+  for (const auto& [w, seed] : walks) {
+    Rng rng_fresh(seed);
+    Rng rng_used(seed);
     const BackwardWalkResult a = fresh.RunVarianceBounded(w, 6, rng_fresh);
     const BackwardWalkResult b = used.RunVarianceBounded(w, 6, rng_used);
-    EXPECT_EQ(a.estimates, b.estimates) << "w=" << w;
-    EXPECT_EQ(a.increments, b.increments) << "w=" << w;
+    EXPECT_EQ(a.estimates, b.estimates) << "w=" << w << " seed=" << seed;
+    EXPECT_EQ(a.increments, b.increments) << "w=" << w << " seed=" << seed;
   }
 }
 
@@ -265,6 +285,59 @@ TEST(ParallelQueryTest, QueryIndependentOfWorkspaceHistory) {
   // The precondition that makes this test bite: the warmup queries really
   // left `used` with more retained capacity than `fresh` consumed.
   EXPECT_NE(warmed, fresh.SnapshotWorkspace());
+}
+
+TEST(ParallelQueryTest, SourceMassLeavesNoScoreAccumulatorResidue) {
+  // Walks from u come back to u on an undirected graph, so the score
+  // accumulator touches u's own slot. Emission drops that mass (s(u, u) is
+  // exactly 1) and must still clear the slot; a leftover slot would point
+  // later queries that reach u at a stale position.
+  Graph g = MakeRandomDigraph(120, 600, 46, /*undirected=*/true);
+  PRSimOptions options;
+  options.eps = 0.08;
+  options.alpha = 5;
+  options.seed = 19;
+  PRSim used(g, options);
+  ASSERT_TRUE(used.Preprocess().ok());
+  const NodeId u = 3;
+  const std::vector<NodeId> sequence = {u, 10, 50, 119, u};
+
+  std::vector<ScoreList> first_pass = {used.Query(u)};
+  // Precondition: u's own node got positive tail mass in every round, so
+  // its median is positive and the accumulator touched its slot.
+  const std::vector<SampleChunk> tasks =
+      BuildSampleChunks(used.rounds(), used.samples_per_round());
+  const std::vector<PRSim::ChunkPartial> partials =
+      used.SnapshotChunkPartials();
+  ASSERT_EQ(partials.size(), tasks.size());
+  std::vector<bool> round_has_mass(used.rounds(), false);
+  for (size_t i = 0; i < partials.size(); ++i) {
+    for (const auto& [v, value] : partials[i].tail) {
+      if (v == u && value > 0) round_has_mass[tasks[i].round] = true;
+    }
+  }
+  ASSERT_EQ(std::count(round_has_mass.begin(), round_has_mass.end(), false),
+            0);
+
+  for (size_t i = 1; i < sequence.size(); ++i) {
+    first_pass.push_back(used.Query(sequence[i]));
+  }
+  EXPECT_EQ(first_pass.front(), first_pass.back());
+
+  // Every answer equals a fresh engine's.
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    PRSim fresh(g, options);
+    fresh.ShareIndexFrom(used);
+    EXPECT_EQ(fresh.Query(sequence[i]), first_pass[i])
+        << "source " << sequence[i] << " at position " << i;
+  }
+
+  // Repeating the sequence answers the same and grows nothing.
+  const PRSim::WorkspaceSnapshot snapshot = used.SnapshotWorkspace();
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    EXPECT_EQ(used.Query(sequence[i]), first_pass[i]);
+  }
+  EXPECT_EQ(used.SnapshotWorkspace(), snapshot);
 }
 
 TEST(ParallelQueryTest, RpprRepeatedEstimateIsPure) {
